@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -386,22 +386,4 @@ def largest_wcc(g: CallGraph) -> CallGraph:
         directed=g.directed,
         dropped_self_loops=g.dropped_self_loops,
         dropped_duplicates=g.dropped_duplicates,
-    )
-
-
-def induced_without(g: CallGraph, node: int) -> CallGraph:
-    """Copy of g with one node (and its edges) removed; ids shift down."""
-    keep = [i for i in range(g.n) if i != node]
-    remap = {old: new for new, old in enumerate(keep)}
-    out = tuple(
-        tuple(remap[v] for v in g.out_adj[u] if v != node) for u in keep
-    )
-    inn = tuple(
-        tuple(remap[v] for v in g.in_adj[u] if v != node) for u in keep
-    )
-    return replace(
-        g,
-        names=tuple(g.names[u] for u in keep),
-        out_adj=out,
-        in_adj=inn,
     )

@@ -1,6 +1,8 @@
 """Spectral threshold and SIS simulation."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cgtopo import (
     threshold_sweep,
 )
 from cgtopo.fixtures import complete_graph, cycle_graph, path_graph, star_graph
-from cgtopo.generators import GNM, RandomGraphSpec, generate_random
+from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 
 
 def test_spectral_closed_forms():
@@ -124,6 +126,113 @@ def test_sis_parameter_validation():
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(99,), max_steps=5, seed=1))
     with pytest.raises(InputError):
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(), max_steps=5, seed=1))
+
+
+def _oracle_sis(g, params):
+    """Transcript of the documented SIS process on a freshly built dense
+    symmetrized matrix: 2n uniforms per step, p = 1 - (1-beta)^c."""
+    n = g.n
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    infected = np.zeros(n, dtype=bool)
+    if isinstance(params.initial_infected, int):
+        infected[rng.choice(n, size=params.initial_infected, replace=False)] = True
+    else:
+        infected[list(params.initial_infected)] = True
+    counts = [int(infected.sum())]
+    for step in range(1, params.max_steps + 1):
+        infect_draw = rng.random(n)
+        cure_draw = rng.random(n)
+        c = (a @ infected.astype(np.int64)).astype(np.float64)
+        p = 1.0 - (1.0 - params.beta) ** c
+        newly = ~infected & (infect_draw < p)
+        cured = infected & (cure_draw < params.delta)
+        infected = (infected & ~cured) | newly
+        counts.append(int(infected.sum()))
+        if counts[-1] == 0:
+            return tuple(counts), step, ()
+    return tuple(counts), None, tuple(np.flatnonzero(infected).tolist())
+
+
+def _oracle_graphs():
+    return {
+        "gnm": generate_random(RandomGraphSpec(model=GNM, n=200, m=700, seed=3)),
+        "star": star_graph(150),
+        "cycle": cycle_graph(120),
+        "erased": generate_random(
+            RandomGraphSpec(model=ERASED_CONFIG, n=300, gamma=2.5, seed=4)
+        ),
+    }
+
+
+def test_sis_matches_independent_oracle():
+    for name, g in _oracle_graphs().items():
+        for beta in (0.0, 0.05, 0.3, 1.0):
+            for delta in (0.0, 0.1, 1.0):
+                for initial in (4, (7, 0, 7, 19)):
+                    params = SisParams(
+                        beta=beta,
+                        delta=delta,
+                        initial_infected=initial,
+                        max_steps=40,
+                        seed=int(beta * 100 + delta * 10) + 1,
+                    )
+                    trace = sis_simulate(g, params)
+                    counts, extinct_step, final = _oracle_sis(g, params)
+                    where = (name, beta, delta, initial)
+                    assert trace.infected_per_step == counts, where
+                    assert trace.extinct_step == extinct_step, where
+                    assert trace.final_infected == final, where
+                    assert trace.outcome == (
+                        "extinct" if extinct_step is not None else "survived"
+                    ), where
+
+
+def test_sweep_matches_oracle_outcomes():
+    # straddles 1/lambda1 on every graph: both outcomes occur
+    ratios = (0.05, 0.2, 1.0)
+    runs = 6
+    base = SisParams(beta=0.0, delta=0.5, initial_infected=2, max_steps=60, seed=21)
+    for name, g in _oracle_graphs().items():
+        want = []
+        for i, ratio in enumerate(ratios):
+            extinct = 0
+            for j in range(runs):
+                seed = int(
+                    np.random.SeedSequence([base.seed, i, j]).generate_state(
+                        1, np.uint64
+                    )[0]
+                )
+                params = replace(base, beta=ratio * base.delta, seed=seed)
+                extinct += _oracle_sis(g, params)[1] is not None
+            want.append(extinct / runs)
+        sweep = threshold_sweep(g, ratios, runs, base)
+        assert sweep.extinction_prob == tuple(want), name
+
+
+def test_sweep_symmetrizes_once(monkeypatch):
+    import cgtopo.graph
+
+    original = cgtopo.graph.symmetrize
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    # rebind every module-level reference, including `from .graph import`
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cgtopo") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    g = generate_random(RandomGraphSpec(model=GNM, n=80, m=240, seed=9))
+    assert g.directed
+    base = SisParams(beta=0.0, delta=0.2, initial_infected=(0,), max_steps=30, seed=5)
+    threshold_sweep(g, [0.5, 1.0, 2.0], 5, base)
+    assert len(calls) <= 1
 
 
 def test_sweep_requires_ascending_ratios():
