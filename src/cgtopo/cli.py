@@ -146,10 +146,25 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     print(dest / filename)
 
 
+def _numbers(raw: str, kind, flag: str) -> list:
+    """Comma-separated flag value parsed with ``kind``; blanks skipped."""
+    try:
+        return [kind(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} expects comma-separated numbers: {raw!r}") from None
+
+
 def _initial(args) -> tuple[int, ...] | int:
     if args.initial_nodes:
-        return tuple(int(part) for part in args.initial_nodes.split(",") if part.strip())
+        return tuple(_numbers(args.initial_nodes, int, "--initial-nodes"))
     return args.initial_count
+
+
+def _seed(args) -> int:
+    """The --seed of the commands that draw random numbers."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _run_analyze(args) -> int:
@@ -190,7 +205,7 @@ def _run_baseline(args) -> int:
         n=report["graph"]["n"],
         m=report["graph"]["m"],
         gamma=args.gamma,
-        seed=args.seed,
+        seed=_seed(args),
     )
     report["baseline"] = compare_baseline(report, spec, args.replicates)
     _emit(to_json(report), args.out, "report.json")
@@ -208,7 +223,7 @@ def _run_simulate(args) -> int:
         delta=args.delta,
         initial_infected=_initial(args),
         max_steps=args.steps,
-        seed=args.seed,
+        seed=_seed(args),
     )
     trace = sis_simulate(g, params)
     if args.output == "csv":
@@ -233,13 +248,13 @@ def _run_simulate(args) -> int:
 
 def _run_sweep(args) -> int:
     g = load_graph(args.path, args.format)
-    ratios = [float(part) for part in args.ratios.split(",") if part.strip()]
+    ratios = _numbers(args.ratios, float, "--ratios")
     base = SisParams(
         beta=0.0,
         delta=args.delta,
         initial_infected=_initial(args),
         max_steps=args.steps,
-        seed=args.seed,
+        seed=_seed(args),
     )
     sweep = threshold_sweep(g, ratios, args.runs, base)
     if args.output == "csv":
@@ -285,9 +300,6 @@ def main(argv=None) -> int:
     except CallGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .graph import CallGraph, CallGraphError, ParseError, load_dot_subset, load_edge_list
+from .graph import CallGraph, CallGraphError, ParseError, _decode, load_graph
 
 
 class ValidationError(CallGraphError):
@@ -30,8 +30,7 @@ class CorpusEntry:
 
 def parse_manifest(text, base_dir: str | None = None) -> list[CorpusEntry]:
     """Parse manifest text into entries; see module docstring for format."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _decode(text)
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
@@ -64,12 +63,9 @@ def read_manifest(path) -> list[CorpusEntry]:
     return parse_manifest(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def load_entry(entry: CorpusEntry) -> CallGraph:
-    """Load and canonicalize an entry, enforcing expected counts if given."""
-    with open(entry.path, "rb") as fh:
-        data = fh.read()
-    loader = load_dot_subset if entry.path.endswith(".dot") else load_edge_list
-    g = loader(data)
+def load_entry(entry: CorpusEntry, fmt: str = "edgelist") -> CallGraph:
+    """Load an entry in input format ``fmt``, enforcing expected counts."""
+    g = load_graph(entry.path, fmt)
     if entry.expected_n is not None and g.n != entry.expected_n:
         raise ValidationError(
             f"{entry.label}: expected n={entry.expected_n}, loaded {g.n}"

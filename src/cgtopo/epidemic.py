@@ -14,14 +14,18 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .graph import CallGraph, CallGraphError, InputError, largest_wcc
 
 
 class ConvergenceError(CallGraphError):
-    """Power iteration ran out of iterations; carries the last state."""
+    """Lanczos did not converge, or its eigenpair failed the residual or
+    bound check; carries that pair (None when the solver gave none)."""
 
-    def __init__(self, message: str, last_lambda: float, last_vector: np.ndarray):
+    def __init__(
+        self, message: str, last_lambda: float | None, last_vector: np.ndarray | None
+    ):
         super().__init__(message)
         self.last_lambda = last_lambda
         self.last_vector = last_vector
@@ -65,77 +69,49 @@ class SizeSpectralTrend:
     rank_correlation: float | None
 
 
-def _power_iterate(
-    mat, shift: float, tolerance: float, max_iterations: int, detect_oscillation: bool
-):
-    """Returns (rayleigh_quotient, unit_vector, residual, iterations, oscillating).
-
-    Convergence is residual-based: ||Ax - rq*x|| <= tolerance implies the
-    Rayleigh quotient has stabilized far below tolerance (its error is
-    quadratic in the residual).  On graphs with a bipartite-symmetric
-    spectrum the iterates settle into a period-2 cycle instead: x_t
-    returns to x_{t-2} while staying far from x_{t-1}.  When detected,
-    the caller restarts once with a diagonal shift that breaks the tie.
-    """
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / math.sqrt(n))
-    prev = prev2 = None
-    rq = 0.0
-    residual = math.inf
-    for iteration in range(1, max_iterations + 1):
-        y = mat @ x + shift * x
-        rq = float(x @ y)
-        residual = float(np.linalg.norm(y - rq * x))
-        if residual <= tolerance:
-            return rq, x, residual, iteration, False
-        if detect_oscillation and prev2 is not None:
-            osc = float(np.linalg.norm(x - prev2))
-            step = float(np.linalg.norm(x - prev))
-            if osc <= 1e-9 and step >= 1e-3:
-                return rq, x, residual, iteration, True
-        prev2 = prev
-        prev = x
-        x = y / np.linalg.norm(y)
-    return rq, x, residual, max_iterations, False
-
-
 def spectral_radius(
     g: CallGraph, tolerance: float = 1e-10, max_iterations: int = 100_000
 ) -> SpectralResult:
     """Largest adjacency eigenvalue of the symmetrized largest WCC.
 
-    Power iteration from the all-ones direction, converged when the
-    Rayleigh quotient settles and the residual drops under tolerance.
-    On bipartite-like graphs the all-ones start oscillates between two
-    dominant eigendirections: the Rayleigh quotient settles while the
-    residual stays large.  That stagnation triggers one restart on the
-    shifted matrix A + I/2, whose top eigenvalue is strictly dominant;
-    the shift is subtracted from the result.
+    Lanczos (ARPACK ``eigsh``) from the all-ones start vector, allowed
+    ``max_iterations`` restarts.  The returned pair must have residual
+    ||Ax - lambda x|| <= tolerance and lambda within the
+    [sqrt(d_max), d_max] bounds, else ConvergenceError.  ``iterations``
+    in the result counts the solver's applications of A.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # also rejects NaN
         raise InputError("tolerance must be positive")
+    if max_iterations < 1:
+        raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
     h = largest_wcc(g.undirected)
     if h.m == 0:
         raise InputError("spectral radius undefined on an edgeless graph")
     mat = h.adjacency
-    lam, vec, residual, used, oscillating = _power_iterate(
-        mat, 0.0, tolerance, max_iterations, detect_oscillation=True
-    )
-    iterations = used
-    if oscillating or residual > tolerance:
-        lam, vec, residual, used2, _ = _power_iterate(
-            mat, 0.5, tolerance, max_iterations, detect_oscillation=False
+    applications = 0
+
+    def matvec(x):
+        nonlocal applications
+        applications += 1
+        return mat @ x
+
+    op = LinearOperator(mat.shape, matvec=matvec, dtype=np.float64)
+    try:
+        # ARPACK restarts from a random vector when the Krylov space runs
+        # out (star-like graphs); a fixed seed keeps results repeatable
+        vals, vecs = eigsh(
+            op, k=1, which="LA", v0=np.ones(h.n), maxiter=max_iterations, rng=0
         )
-        iterations += used2
-        lam -= 0.5
-        # the shifted eigenvector is an eigenvector of the original matrix
-        residual = float(np.linalg.norm(mat @ vec - lam * vec))
+    except ArpackNoConvergence:
+        raise ConvergenceError(
+            f"Lanczos did not converge in {max_iterations} restarts", None, None
+        ) from None
+    lam = float(vals[0])
+    vec = vecs[:, 0]
+    residual = float(np.linalg.norm(mat @ vec - lam * vec))
     if residual > tolerance:
         raise ConvergenceError(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})",
-            last_lambda=lam,
-            last_vector=vec,
+            f"residual {residual:.3e} exceeds tolerance {tolerance:.3e}", lam, vec
         )
     d_max = int(max(len(row) for row in h.out_adj))
     slack = 1e-6
@@ -147,7 +123,7 @@ def spectral_radius(
             last_vector=vec,
         )
     return SpectralResult(
-        lambda1=lam, beta_c=1.0 / lam, iterations=iterations, residual=residual
+        lambda1=lam, beta_c=1.0 / lam, iterations=applications, residual=residual
     )
 
 

@@ -37,9 +37,10 @@ def _validate(spec: RandomGraphSpec) -> None:
         raise SpecError(
             f"m={spec.m} outside [0, n(n-1)] = [0, {spec.n * (spec.n - 1)}]"
         )
-    if spec.model == ERASED_CONFIG:
-        if spec.gamma is None or spec.gamma <= 1:
-            raise SpecError("erased_configuration requires gamma > 1")
+    if spec.gamma is not None and not np.isfinite(spec.gamma):
+        raise SpecError(f"gamma must be finite, got {spec.gamma}")
+    if spec.model == ERASED_CONFIG and (spec.gamma is None or spec.gamma <= 1):
+        raise SpecError("erased_configuration requires gamma > 1")
 
 
 def sample_power_law(

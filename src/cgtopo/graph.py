@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 
 class CallGraphError(Exception):
@@ -178,12 +179,12 @@ class CallGraph:
 
 
 def _decode(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    try:
+        return data if isinstance(data, str) else data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("input is not valid UTF-8", line) from None
 
 
 def load_edge_list(source) -> CallGraph:
@@ -246,29 +247,32 @@ def load_dot_subset(source) -> CallGraph:
             "content after closing '}'", text.count("\n", 0, close + 1) + 1
         )
     body = text[header.end() : close]
+    first_line = text.count("\n", 0, header.end()) + 1
     pairs = []
-    start = 0
-    for cut in range(len(body) + 1):
-        if cut < len(body) and body[cut] not in ";\n":
-            continue
-        raw = body[start:cut]
-        pos = header.end() + start + (len(raw) - len(raw.lstrip()))
-        start = cut + 1
-        stmt = raw.strip()
-        if not stmt:
-            continue
-        lineno = text.count("\n", 0, pos) + 1
-        if stmt.startswith("subgraph"):
-            raise ParseError("unsupported DOT construct: subgraph", lineno)
-        edge = _DOT_EDGE.match(stmt)
-        if edge is None:
-            raise ParseError(f"unsupported DOT construct: {stmt!r}", lineno)
-        if edge.group("op") == "--":
-            raise ParseError("unsupported DOT construct: undirected edge", lineno)
-        pairs.append((_dot_unquote(edge.group("src")), _dot_unquote(edge.group("dst"))))
+    for lineno, line in enumerate(body.split("\n"), start=first_line):
+        for raw in line.split(";"):
+            stmt = raw.strip()
+            if not stmt:
+                continue
+            if stmt.startswith("subgraph"):
+                raise ParseError("unsupported DOT construct: subgraph", lineno)
+            edge = _DOT_EDGE.match(stmt)
+            if edge is None:
+                raise ParseError(f"unsupported DOT construct: {stmt!r}", lineno)
+            if edge.group("op") == "--":
+                raise ParseError("unsupported DOT construct: undirected edge", lineno)
+            src, dst = edge.group("src", "dst")
+            pairs.append((_dot_unquote(src), _dot_unquote(dst)))
     if not pairs:
         raise InputError("empty graph (0 nodes)")
     return CallGraph.from_name_pairs(pairs)
+
+
+def load_graph(path, fmt: str) -> CallGraph:
+    """Load a graph file: DOT subset when ``fmt`` is "dot", else edge list."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return load_dot_subset(data) if fmt == "dot" else load_edge_list(data)
 
 
 def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
@@ -330,36 +334,23 @@ def symmetrize(g: CallGraph) -> CallGraph:
     )
 
 
+def components(g: CallGraph, connection: str) -> list[list[int]]:
+    """``connection`` ("weak" or "strong") components as sorted id lists,
+    largest first, ties on size broken toward the smallest member id."""
+    count, labels = connected_components(g.adjacency, connection=connection)
+    members = np.argsort(labels, kind="stable")
+    cuts = np.cumsum(np.bincount(labels, minlength=count))[:-1]
+    comps = [part.tolist() for part in np.split(members, cuts)]
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
 def weak_components(g: CallGraph) -> list[list[int]]:
     """Weakly connected components as sorted id lists, largest first.
 
     Ties on size break toward the component with the smallest member id.
     """
-    n = g.n
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in g.out_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-            for v in g.in_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+    return components(g, "weak")
 
 
 def largest_wcc(g: CallGraph) -> CallGraph:
@@ -368,8 +359,7 @@ def largest_wcc(g: CallGraph) -> CallGraph:
     Node ids are re-densified in ascending original-id order; names are
     preserved.
     """
-    comps = weak_components(g)
-    keep = comps[0]
+    keep = weak_components(g)[0]
     if len(keep) == g.n:
         return g
     remap = {old: new for new, old in enumerate(keep)}

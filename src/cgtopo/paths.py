@@ -9,7 +9,7 @@ from math import fsum
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import CallGraph, InputError, weak_components
+from .graph import CallGraph, InputError, components, weak_components
 
 _BFS_CHUNK = 512
 
@@ -150,57 +150,8 @@ def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:
 
 
 def strongly_connected_components(g: CallGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the
-    interpreter stack.  Components are sorted id lists, largest first."""
-    n = g.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            row = g.out_adj[v]
-            descended = False
-            while ptr < len(row):
-                w = row[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1][1] = ptr
-                    work.append([w, 0])
-                    descended = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+    """Strongly connected components, ordered as in ``weak_components``."""
+    return components(g, "strong")
 
 
 def component_stats(g: CallGraph) -> ComponentStats:

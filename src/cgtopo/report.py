@@ -24,7 +24,7 @@ from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, generate_random
-from .graph import CallGraph, CallGraphError, largest_wcc, load_dot_subset, load_edge_list
+from .graph import CallGraph, CallGraphError, largest_wcc, load_graph
 
 VERSION = "0.1.0"
 
@@ -108,14 +108,8 @@ def _validate_config(config: AnalysisConfig) -> None:
         raise ConfigError(f"unknown output format: {config.output!r}")
     if config.d_max < 1:
         raise ConfigError(f"--d-max must be >= 1, got {config.d_max}")
-    if config.tolerance <= 0:
-        raise ConfigError("--tolerance must be positive")
-
-
-def load_graph(path: str, fmt: str) -> CallGraph:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    return load_dot_subset(data) if fmt == "dot" else load_edge_list(data)
+    if not 0 < config.tolerance < float("inf"):
+        raise ConfigError(f"--tolerance must be in (0, inf), got {config.tolerance}")
 
 
 def _degree_section(wcc: CallGraph, extras: dict) -> dict:
@@ -379,7 +373,7 @@ def summary_row(entry: CorpusEntry, report: dict | None, error: str | None) -> d
 def _corpus_worker(task: tuple[CorpusEntry, AnalysisConfig]) -> tuple[str, object]:
     entry, config = task
     try:
-        g = load_entry(entry)
+        g = load_entry(entry, config.fmt)
         cfg = replace(config, input_path=entry.path, label=entry.label)
         report, _, failures = analyze_graph(g, cfg, entry.label)
         if failures and config.strict:

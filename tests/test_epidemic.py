@@ -18,6 +18,7 @@ from cgtopo import (
 )
 from cgtopo.fixtures import complete_graph, cycle_graph, path_graph, star_graph
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
+from cgtopo.graph import largest_wcc
 
 
 def test_spectral_closed_forms():
@@ -65,18 +66,55 @@ def test_spectral_matches_dense_oracle():
 
 
 def test_spectral_bipartite_oscillation_handled():
-    # even cycles are bipartite, so plain power iteration oscillates
-    # with period 2 unless the shifted restart engages
+    # even cycles are bipartite: -2 is an eigenvalue as well as 2, so a
+    # solver that picks by magnitude instead of algebraic value can
+    # return the wrong end of the spectrum
     for k in (4, 6, 8, 10):
         res = spectral_radius(cycle_graph(k))
         assert abs(res.lambda1 - 2.0) <= 1e-6
 
 
 def test_spectral_convergence_error_carries_state():
+    # the solver converges, but no float residual reaches 1e-300
+    g = star_graph(50)
     with pytest.raises(ConvergenceError) as exc:
-        spectral_radius(star_graph(50), tolerance=1e-10, max_iterations=2)
-    assert exc.value.last_lambda is not None
-    assert exc.value.last_vector is not None
+        spectral_radius(g, tolerance=1e-300)
+    lam, vec = exc.value.last_lambda, exc.value.last_vector
+    assert abs(lam - math.sqrt(50)) <= 1e-9
+    assert vec.shape == (g.n,)
+    resid = np.linalg.norm(g.undirected.adjacency @ vec - lam * vec)
+    assert 0 < resid <= 1e-9
+
+
+def test_spectral_convergence_error_on_restart_budget():
+    g = generate_random(RandomGraphSpec(model=GNM, n=300, m=900, seed=0))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        spectral_radius(g, max_iterations=1)
+    assert spectral_radius(g, max_iterations=2).residual <= 1e-10
+    with pytest.raises(InputError):
+        spectral_radius(g, max_iterations=0)
+
+
+def test_spectral_matches_dense_oracle_heavy_tailed():
+    # erased configuration with a power-law degree draw, n ~ 1000
+    g = generate_random(
+        RandomGraphSpec(model=ERASED_CONFIG, n=1000, m=2500, gamma=2.5, seed=3)
+    )
+    und = largest_wcc(g.undirected)
+    want = float(np.linalg.eigvalsh(und.adjacency.toarray())[-1])
+    res = spectral_radius(g)
+    assert abs(res.lambda1 - want) <= 1e-6
+    assert res.residual <= 1e-10
+
+
+def test_spectral_repeatable_within_a_process():
+    # a star exhausts the Krylov space early, so ARPACK restarts from a
+    # random vector; the result must not depend on earlier calls
+    first = spectral_radius(star_graph(100))
+    for k in (4, 9, 25):
+        spectral_radius(star_graph(k))
+        spectral_radius(cycle_graph(k + 3))
+        assert spectral_radius(star_graph(100)) == first
 
 
 def test_sis_forced_absorption():

@@ -93,6 +93,21 @@ def test_dot_undirected_edge_rejected_with_line():
     assert exc.value.line == 2
 
 
+def test_dot_error_line_deep_in_file():
+    edges = "".join(f"f{i} -> f{i + 1};\n" for i in range(5000))
+    headers = (
+        "digraph g {\n",
+        "digraph g { a -> b; c -> d;\n",  # statements after the brace
+        "strict digraph\ng\n{ a -> b\n",  # header over three lines
+    )
+    for header in headers:
+        text = header + edges + "x -> y; not an edge ;\n}\n"
+        with pytest.raises(ParseError) as exc:
+            load_dot_subset(text)
+        assert exc.value.line == header.count("\n") + 5001
+        assert str(exc.value).endswith("unsupported DOT construct: 'not an edge'")
+
+
 def test_dot_subgraph_rejected():
     with pytest.raises(ParseError) as exc:
         load_dot_subset("digraph g {\nsubgraph cluster0 { a -> b }\n}\n")

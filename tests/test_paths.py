@@ -14,8 +14,9 @@ from cgtopo import (
     load_edge_list,
     strongly_connected_components,
     symmetrize,
+    weak_components,
 )
-from cgtopo.fixtures import complete_graph, star_graph
+from cgtopo.fixtures import complete_graph, permutation_core_graph, star_graph
 from cgtopo.generators import GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph
 
@@ -196,6 +197,27 @@ def test_scc_matches_reachability_oracle():
         want = {frozenset(fwd[v] & bwd[v]) for v in range(g.n)}
         got = {frozenset(c) for c in strongly_connected_components(g)}
         assert got == want
+
+
+def test_components_match_networkx_at_scale():
+    nx = pytest.importorskip("networkx")
+
+    def ordered(parts):
+        return sorted((sorted(p) for p in parts), key=lambda c: (-len(c), c[0]))
+
+    graphs = [
+        generate_random(RandomGraphSpec(model=GNM, n=4000, m=m, seed=seed))
+        for m, seed in ((3000, 1), (4400, 2), (8000, 3))
+    ]
+    graphs.append(permutation_core_graph(3000, 3300, seed=4))
+    for g in graphs:
+        dg = nx.DiGraph()
+        dg.add_nodes_from(range(g.n))
+        dg.add_edges_from(g.edges())
+        assert weak_components(g) == ordered(nx.weakly_connected_components(dg))
+        assert strongly_connected_components(g) == ordered(
+            nx.strongly_connected_components(dg)
+        )
 
 
 def test_scc_sizes_partition_n():

@@ -282,6 +282,54 @@ def test_cli_exit_codes(tmp_path, sample_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_flag_parse_errors_are_config_errors(sample_path, capsys):
+    sweep = ["sweep", str(sample_path), "--runs", "2", "--steps", "5"]
+    assert main(sweep + ["--ratios", "0.1,x"]) == 3
+    assert main(sweep + ["--ratios", "0.1", "--initial-nodes", "0,a"]) == 3
+    assert main(sweep + ["--ratios", "0.1", "--seed", "-1"]) == 3
+    assert "--ratios" in capsys.readouterr().err.splitlines()[0]
+    # non-finite values would reach the report as non-JSON floats
+    analyze = ["analyze", str(sample_path), "--metrics", "degree"]
+    assert main(analyze + ["--tolerance", "nan"]) == 3
+    assert main(analyze + ["--tolerance", "inf"]) == 3
+    baseline = ["baseline", str(sample_path), "--metrics", "degree"]
+    assert main(baseline + ["--replicates", "2", "--gamma", "nan"]) == 3
+    capsys.readouterr()
+
+
+def test_cli_internal_value_error_is_not_a_config_error(
+    sample_path, monkeypatch, capsys
+):
+    def broken(g):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("cgtopo.paths.component_stats", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["analyze", str(sample_path), "--metrics", "components"])
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_cli_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.edges"
+    bad.write_bytes(b"a b\nb c\n\xe9t\xe9 a\n")
+    assert main(["analyze", str(bad), "--metrics", "components"]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_corpus_honours_dot_format(tmp_path, capsys):
+    (tmp_path / "g.dot").write_text("digraph g { a -> b; b -> c; }\n", encoding="utf-8")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("g\tC\tx\tg.dot\t3\t2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["corpus", str(manifest), "--metrics", "components", "--out", str(out)]
+    assert main(args + ["--format", "dot"]) == 0
+    report = json.loads((out / "corpus.json").read_text())["entries"][0]["report"]
+    assert report["components"]["largest_wcc_size"] == 3
+    # the format flag, not the file suffix, picks the parser
+    assert main(args) == 1
+    capsys.readouterr()
+
+
 def test_cli_corpus_partial_failure_exit_one(tmp_path, capsys):
     g = tmp_path / "ok.edges"
     g.write_text("a b\n", encoding="utf-8")
