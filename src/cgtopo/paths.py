@@ -2,16 +2,75 @@
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .graph import CallGraph, InputError, components, weak_components
 
-_BFS_CHUNK = 512
+# Working-set bound of the batched traversals, in array cells: a bitset
+# batch keeps about this many uint64 words per node-indexed array and
+# gathers at most this many per reduction; a Brandes block holds this
+# many (source, node) cells and DAG arcs.  At 2**19 the temporaries
+# stay at a few MiB whatever the graph size.
+_BATCH_CELLS = 1 << 19
+
+
+def _batch_width(size: int) -> int:
+    """How many items of ``size`` cells fit ``_BATCH_CELLS`` (at least 1)."""
+    return max(1, _BATCH_CELLS // max(size, 1))
+
+
+def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
+    """Multi-source BFS over a CSR graph, one bit per row, 64 rows per
+    uint64 word (Then et al., "The More the Merrier", VLDB 2015).
+
+    Row r starts at ``sources[r]`` and, when ``banned`` is given, never
+    enters node ``banned[r]``.  The CSR is read pull-wise: row v lists
+    the nodes one step before v.  Yields ``(depth, nodes, bits)`` for
+    depth 1, 2, ...: bit r % 64 of ``bits[r // 64, k]`` is set when row
+    r first reaches ``nodes[k]`` at that depth.  Stops when no row
+    advances or after ``depth_cap`` levels.
+    """
+    n = len(indptr) - 1
+    rows = np.arange(len(sources))
+    word = rows >> 6
+    bit = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    # word-major, so that each word's gather and reduction is contiguous
+    visited = np.zeros(((len(sources) + 63) >> 6, n), dtype=np.uint64)
+    np.bitwise_or.at(visited, (word, sources), bit)
+    nodes = np.unique(sources)
+    bits = visited[:, nodes]
+    if banned is not None:
+        np.bitwise_or.at(visited, (word, banned), bit)
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    slot = np.full(n, -1, dtype=np.intp)
+    depth = 0
+    while nodes.size and depth != depth_cap:
+        depth += 1
+        slot[nodes] = np.arange(nodes.size)
+        pred = slot[indices]
+        slot[nodes] = -1
+        live = np.flatnonzero(pred >= 0)
+        # only arcs out of the frontier are gathered; every segment of
+        # the reduction is then non-empty
+        pred = pred[live]
+        dest = owner[live]
+        starts = np.flatnonzero(np.diff(dest, prepend=-1))
+        dest = dest[starts]
+        reached = np.empty((len(bits), starts.size), dtype=np.uint64)
+        slab = _batch_width(live.size)
+        for w in range(0, len(bits), slab):
+            reached[w : w + slab] = np.bitwise_or.reduceat(
+                bits[w : w + slab].take(pred, axis=1), starts, axis=1
+            )
+        new = reached & ~visited[:, dest]
+        keep = new.any(axis=0)
+        nodes, bits = dest[keep], new[:, keep]
+        visited[:, nodes] |= bits
+        yield depth, nodes, bits
 
 
 @dataclass(frozen=True)
@@ -55,17 +114,17 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     if g.n < 2:
         raise InputError("geodesic mean needs n >= 2")
     h = g if directed else g.undirected
-    mat = h.adjacency
+    csr = h.adjacency.T.tocsr() if directed else h.adjacency
     n = h.n
-    inv_parts: list[float] = []
-    reachable = 0
-    for start in range(0, n, _BFS_CHUNK):
-        idx = np.arange(start, min(start + _BFS_CHUNK, n))
-        dist = dijkstra(mat, directed=True, indices=idx, unweighted=True)
-        finite = np.isfinite(dist) & (dist > 0)
-        inv_parts.append(float(np.sum(1.0 / dist[finite])))
-        reachable += int(finite.sum())
-    inv_sum = fsum(inv_parts)
+    # exact histogram of ordered reachable pairs by distance
+    per_depth: Counter = Counter()
+    step = 64 * _batch_width(n)
+    for start in range(0, n, step):
+        sources = np.arange(start, min(start + step, n))
+        for depth, _, bits in _bitset_bfs(csr.indptr, csr.indices, sources):
+            per_depth[depth] += int(np.bitwise_count(bits).sum())
+    reachable = sum(per_depth.values())
+    inv_sum = fsum(count / depth for depth, count in per_depth.items())
     ordered_pairs = n * (n - 1)
     fraction = reachable / ordered_pairs
     if reachable == 0:
@@ -87,40 +146,68 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
 def betweenness(g: CallGraph) -> BetweennessResult:
     """Exact unweighted betweenness, unnormalized, endpoints excluded.
 
-    One BFS per source builds the geodesic DAG; path shares are then
-    accumulated walking the DAG in reverse BFS order.
+    Brandes (2001) over a block of sources at once: a forward BFS per
+    level builds the geodesic DAG and its path counts, then path shares
+    are accumulated walking the DAG levels in reverse.
     """
     n = g.n
-    scores = [0.0] * n
-    adj = g.out_adj
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                scores[w] += delta[w]
-    return BetweennessResult(values=tuple(scores))
+    csr = g.adjacency
+    indptr = csr.indptr.astype(np.int64)
+    indices = csr.indices.astype(np.int64)
+    scores = np.zeros(n)
+    block = _batch_width(max(n, csr.nnz))
+    for start in range(0, n, block):
+        sources = np.arange(start, min(start + block, n))
+        scores += _brandes_block(indptr, indices, sources)
+    return BetweennessResult(values=tuple(scores.tolist()))
+
+
+def _brandes_block(indptr, indices, sources) -> np.ndarray:
+    """Summed dependencies of ``sources`` on every node, as an n-vector.
+
+    Cells are flat codes b*n + v for block row b (source ``sources[b]``)
+    and node v.  Path counts sigma are float64: exact below 2**53, and
+    they round instead of wrapping above it.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    b = len(sources)
+    roots = np.arange(b) * n + sources
+    dist = np.full(b * n, -1, dtype=np.int32)
+    sigma = np.zeros(b * n)
+    stamp = np.empty(b * n, dtype=np.int64)
+    dist[roots] = 0
+    sigma[roots] = 1.0
+    # per level: the frontier codes, and the DAG arcs out of it as
+    # (frontier index of the parent, child code)
+    levels = []
+    front = roots
+    depth = 0
+    while front.size:
+        depth += 1
+        base = front - front % n
+        node = front - base
+        count = degree[node]
+        parent = np.repeat(np.arange(front.size), count)
+        first = np.repeat(indptr[node] - (np.cumsum(count) - count), count)
+        child = base[parent] + indices[first + np.arange(parent.size)]
+        fresh = dist[child] < 0
+        parent, child = parent[fresh], child[fresh]
+        dist[child] = depth
+        np.add.at(sigma, child, sigma[front][parent])
+        levels.append((front, parent, child))
+        # one entry per distinct child: the occurrence whose index the
+        # stamp kept
+        order = np.arange(child.size)
+        stamp[child] = order
+        front = child[stamp[child] == order]
+    delta = np.zeros(b * n)
+    for front, parent, child in reversed(levels):
+        coeff = (1.0 + delta[child]) / sigma[child]
+        terms = sigma[front][parent] * coeff
+        delta[front] += np.bincount(parent, weights=terms, minlength=front.size)
+    delta[roots] = 0.0
+    return delta.reshape(b, n).sum(axis=0)
 
 
 def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:

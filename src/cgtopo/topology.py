@@ -13,6 +13,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from math import fsum
 
+import numpy as np
+
+from . import paths
 from .graph import CallGraph, CallGraphError, InputError
 
 ASSORTATIVITY_MODES = ("in_in", "out_out", "total")
@@ -239,52 +242,154 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     """
     if d_max < 1:
         raise InputError(f"d_max must be >= 1, got {d_max}")
-    h = g.undirected
-    cell_values: dict[int, dict[int, list[float]]] = {
-        d: {} for d in range(1, d_max + 1)
-    }
-    aggregate_values: dict[int, list[float]] = {d: [] for d in range(1, d_max + 1)}
-    beyond_values: list[float] = []
-    disconnected_values: list[float] = []
-    eligible = 0
-    for i, row in enumerate(h.out_adj):
-        k = len(row)
-        if k < 2:
-            continue
-        eligible += 1
-        pairs = k * (k - 1) // 2
-        counts = neighbour_pair_distances(h, i)
-        beyond = 0
-        disconnected = 0
-        per_d = [0] * (d_max + 1)
-        for d, c in counts.items():
-            if d is DISCONNECTED or d == DISCONNECTED:
-                disconnected += c
-            elif d <= d_max:
-                per_d[d] += c
-            else:
-                beyond += c
-        for d in range(1, d_max + 1):
-            frac = per_d[d] / pairs
-            aggregate_values[d].append(frac)
-            cell_values[d].setdefault(k, []).append(frac)
-        beyond_values.append(beyond / pairs)
-        disconnected_values.append(disconnected / pairs)
-    if eligible == 0:
+    csr = g.undirected.adjacency
+    degree = np.diff(csr.indptr)
+    eligible = np.flatnonzero(degree >= 2)
+    if eligible.size == 0:
         raise InputError("no node with degree >= 2 to profile")
+    k = degree[eligible]
+    frac = _pair_classes(csr.indptr, csr.indices, d_max)[eligible] / (
+        k * (k - 1) // 2
+    )[:, None]
+    count = eligible.size
+    aggregate = {d: fsum(frac[:, d]) / count for d in range(1, d_max + 1)}
+    groups = [(int(kk), frac[k == kk]) for kk in np.unique(k)]
     cells = {
-        d: {k: fsum(vals) / len(vals) for k, vals in sorted(kv.items())}
-        for d, kv in cell_values.items()
+        d: {kk: fsum(rows[:, d]) / len(rows) for kk, rows in groups}
+        for d in range(1, d_max + 1)
     }
-    aggregate = {d: fsum(vals) / len(vals) for d, vals in aggregate_values.items()}
     return ClusteringProfile(
         d_max=d_max,
         cells=cells,
         aggregate=aggregate,
-        beyond_fraction=fsum(beyond_values) / eligible,
-        disconnected_fraction=fsum(disconnected_values) / eligible,
-        eligible_count=eligible,
+        beyond_fraction=fsum(frac[:, d_max + 1]) / count,
+        disconnected_fraction=fsum(frac[:, 0]) / count,
+        eligible_count=count,
     )
+
+
+def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
+    """Neighbour-pair counts per node of a symmetric CSR graph, as an
+    (n, d_max + 2) array: column d in 1..d_max counts the pairs at
+    distance d with the node removed, column d_max + 1 the pairs
+    farther apart, column 0 the pairs disconnected.
+
+    Pair {j, l} of node i is disconnected exactly when edges i-j and
+    i-l lie in different biconnected blocks, so only same-block pairs
+    are searched, by bitset BFS from j with i banned, to depth d_max.
+    """
+    n = len(indptr) - 1
+    arcs = len(indices)
+    owner = np.repeat(np.arange(n), np.diff(indptr))
+    block = _edge_blocks(indptr, indices)
+    # arc a of node i leads the pairs it forms with the later arcs of i
+    later = indptr[owner + 1] - np.arange(arcs) - 1
+    ends = np.cumsum(later)
+    rows_per_batch = 64 * paths._batch_width(n)
+    # a pair takes about eight int64 cells
+    pairs_per_batch = paths._batch_width(8)
+    classes = np.zeros((n, d_max + 2), dtype=np.int64)
+    slot = np.full(n, -1, dtype=np.intp)
+    start = 0
+    while start < arcs:
+        # a batch of leading arcs whose pairs fit the cell budget
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + pairs_per_batch, side="right"))
+        stop = min(max(stop, start + 1), start + rows_per_batch, arcs)
+        count = later[start:stop]
+        lead = np.repeat(np.arange(start, stop), count)
+        # arc a pairs with a + 1, a + 2, ...
+        step = np.arange(lead.size) - np.repeat(np.cumsum(count) - count, count)
+        other = lead + 1 + step
+        start = stop
+        cls = np.zeros(lead.size, dtype=np.int64)
+        same = np.flatnonzero(block[lead] == block[other])
+        cls[same] = d_max + 1
+        row_arcs, row_of = np.unique(lead[same], return_inverse=True)
+        target = indices[other[same]]
+        pending = np.arange(same.size)
+        for depth, nodes, bits in paths._bitset_bfs(
+            indptr, indices, indices[row_arcs], owner[row_arcs], d_max
+        ):
+            slot[nodes] = np.arange(nodes.size)
+            at = slot[target[pending]]
+            slot[nodes] = -1
+            r = row_of[pending]
+            hit = at >= 0
+            hit[hit] = (
+                bits[r[hit] >> 6, at[hit]] >> (r[hit] & 63).astype(np.uint64)
+            ) & np.uint64(1) == 1
+            cls[same[pending[hit]]] = depth
+            pending = pending[~hit]
+            if pending.size == 0:
+                break
+        np.add.at(classes, (owner[lead], cls), 1)
+    return classes
+
+
+def _edge_blocks(indptr, indices) -> np.ndarray:
+    """Biconnected-block label of every arc of a symmetric CSR graph;
+    both arcs of an edge share the label.  Iterative Hopcroft-Tarjan
+    (1973): one depth-first pass with an edge stack."""
+    n = len(indptr) - 1
+    ptr = indptr.tolist()
+    nbr = indices.tolist()
+    disc = [-1] * n
+    low = [0] * n
+    label = [-1] * len(nbr)
+    edge_stack: list[int] = []
+    blocks = 0
+    clock = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        # DFS path: node, next arc to scan, tree arc into the node
+        path = [root]
+        cursor = [ptr[root]]
+        tree = [-1]
+        while path:
+            v = path[-1]
+            a = cursor[-1]
+            if a < ptr[v + 1]:
+                cursor[-1] = a + 1
+                w = nbr[a]
+                if disc[w] < 0:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    edge_stack.append(a)
+                    path.append(w)
+                    cursor.append(ptr[w])
+                    tree.append(a)
+                elif disc[w] < disc[v]:
+                    # includes the arc back to the DFS parent: it keeps
+                    # low[v] >= disc[parent] exactly when the tree edge
+                    # ends a block, and lands in that block
+                    edge_stack.append(a)
+                    low[v] = min(low[v], disc[w])
+                continue
+            path.pop()
+            cursor.pop()
+            into = tree.pop()
+            if not path:
+                continue
+            u = path[-1]
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:
+                while True:
+                    e = edge_stack.pop()
+                    label[e] = blocks
+                    if e == into:
+                        break
+                blocks += 1
+    # each edge was stacked through one of its arcs; copy to the other
+    label = np.array(label, dtype=np.int64)
+    head = np.asarray(indices, dtype=np.int64)
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    reverse = np.empty(len(nbr), dtype=np.int64)
+    reverse[np.argsort(tail * n + head)] = np.argsort(head * n + tail)
+    return np.where(label >= 0, label, label[reverse])
 
 
 def reciprocity(g: CallGraph) -> ReciprocityResult:

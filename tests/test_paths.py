@@ -3,12 +3,17 @@
 import math
 from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from cgtopo import (
     InputError,
     betweenness,
     betweenness_distribution,
+    clustering_profile,
     component_stats,
     harmonic_geodesic_mean,
     load_edge_list,
@@ -16,8 +21,9 @@ from cgtopo import (
     symmetrize,
     weak_components,
 )
+from cgtopo import paths
 from cgtopo.fixtures import complete_graph, permutation_core_graph, star_graph
-from cgtopo.generators import GNM, RandomGraphSpec, generate_random
+from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph
 
 
@@ -258,3 +264,145 @@ def test_geodesic_requires_two_nodes():
     g = CallGraph.from_id_pairs(1, [])
     with pytest.raises(InputError):
         harmonic_geodesic_mean(g)
+
+
+def _dijkstra_geodesic(g, directed):
+    """(inverse distance sum, reachable ordered pairs) from scipy's
+    all-pairs unweighted dijkstra."""
+    h = g if directed else symmetrize(g)
+    dist = dijkstra(h.adjacency, directed=True, unweighted=True)
+    finite = np.isfinite(dist) & (dist > 0)
+    return math.fsum((1.0 / dist[finite]).tolist()), int(finite.sum())
+
+
+def _patchy_graph(seed):
+    """Several weak components, isolated nodes and zero-in-degree nodes."""
+    pairs = []
+    offset = 0
+    for n, m in ((300, 700), (120, 150), (40, 39), (2, 1)):
+        g = generate_random(RandomGraphSpec(model=GNM, n=n, m=m, seed=seed + n))
+        pairs += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += n
+    # sources only: arcs into the first component, none out of it
+    pairs += [(offset + i, i) for i in range(5)]
+    return CallGraph.from_id_pairs(offset + 5 + 7, pairs)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_geodesic_matches_dijkstra_oracle(directed):
+    for seed in range(3):
+        g = _patchy_graph(seed)
+        assert min(len(r) for r in g.in_adj) == 0
+        inv_sum, reachable = _dijkstra_geodesic(g, directed)
+        res = harmonic_geodesic_mean(g, directed=directed)
+        assert math.isclose(res.inverse_distance_sum, inv_sum, rel_tol=1e-12)
+        assert res.reachable_pair_fraction == reachable / (g.n * (g.n - 1))
+        want = g.n * (g.n - 1) / inv_sum
+        assert math.isclose(res.harmonic_mean_ell, want, rel_tol=1e-12)
+
+
+def _bfs_rows(g, sources, banned, depth_cap):
+    """Per-row {node: depth} by plain BFS over successors, ban applied."""
+    want = []
+    for r, s in enumerate(sources):
+        dist = {s: 0}
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            if depth_cap is not None and dist[u] == depth_cap:
+                continue
+            for v in g.out_adj[u]:
+                if v not in dist and (banned is None or v != banned[r]):
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        want.append({v: d for v, d in dist.items() if d > 0})
+    return want
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65, 130])
+def test_bitset_bfs_rows_against_plain_bfs(rows):
+    g = generate_random(RandomGraphSpec(model=GNM, n=90, m=160, seed=rows))
+    rng = np.random.default_rng(rows)
+    sources = rng.integers(0, g.n, rows)
+    banned = (sources + 1 + rng.integers(0, g.n - 1, rows)) % g.n
+    # pull-wise CSR: row v lists the predecessors of v
+    csr = g.adjacency.T.tocsr()
+    for ban, cap in ((None, None), (banned, None), (banned, 2), (None, 1)):
+        got = [{} for _ in range(rows)]
+        for depth, nodes, bits in paths._bitset_bfs(
+            csr.indptr, csr.indices, sources, ban, cap
+        ):
+            for k, v in enumerate(nodes.tolist()):
+                for r in range(rows):
+                    if int(bits[r >> 6, k]) >> (r & 63) & 1:
+                        assert v not in got[r]
+                        got[r][v] = depth
+        assert got == _bfs_rows(g, sources.tolist(), ban, cap)
+
+
+@pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
+def test_batched_kernels_independent_of_batch_size(monkeypatch, n):
+    m = min(3 * n, n * (n - 1))
+    g = generate_random(RandomGraphSpec(model=GNM, n=n, m=m, seed=n))
+    geo = harmonic_geodesic_mean(g)
+    geo_dir = harmonic_geodesic_mean(g, directed=True)
+    btw = betweenness(g).values
+    # 1 cell: one bitset word and one Brandes source per batch; 4n
+    # cells: four words per batch, reduced one or two words at a time;
+    # then blocks of exactly 64 sources
+    for cells in (1, 4 * g.n, 64 * max(g.n, g.m)):
+        monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+        assert harmonic_geodesic_mean(g) == geo
+        assert harmonic_geodesic_mean(g, directed=True) == geo_dir
+        for a, b in zip(betweenness(g).values, btw):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+    inv_sum, _ = _dijkstra_geodesic(g, False)
+    assert math.isclose(geo.inverse_distance_sum, inv_sum, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RandomGraphSpec(model=ERASED_CONFIG, n=1000, gamma=2.5, seed=3),
+        RandomGraphSpec(model=GNM, n=1000, m=2500, seed=5),
+    ],
+)
+def test_betweenness_matches_networkx_at_scale(spec):
+    nx = pytest.importorskip("networkx")
+    g = generate_random(spec)
+    dg = nx.DiGraph()
+    dg.add_nodes_from(range(g.n))
+    dg.add_edges_from(g.edges())
+    want = nx.betweenness_centrality(dg, normalized=False, endpoints=False)
+    got = betweenness(g).values
+    assert max(got) > 100
+    for v in range(g.n):
+        assert math.isclose(got[v], want[v], rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def _relabelled(draw):
+    n = draw(st.integers(2, 24))
+    arcs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+    )
+    perm = draw(st.permutations(range(n)))
+    g = CallGraph.from_id_pairs(n, arcs)
+    h = CallGraph.from_id_pairs(n, [(perm[u], perm[v]) for u, v in arcs])
+    return g, h, perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled())
+def test_traversal_metrics_invariant_under_relabelling(case):
+    g, h, perm = case
+    bg, bh = betweenness(g).values, betweenness(h).values
+    for v in range(g.n):
+        assert math.isclose(bg[v], bh[perm[v]], rel_tol=1e-9, abs_tol=1e-9)
+    for directed in (False, True):
+        assert harmonic_geodesic_mean(g, directed) == harmonic_geodesic_mean(
+            h, directed
+        )
+    if max(len(row) for row in g.undirected.out_adj) >= 2:
+        for d_max in (1, 3):
+            assert clustering_profile(g, d_max) == clustering_profile(h, d_max)

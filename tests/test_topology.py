@@ -1,8 +1,11 @@
 """Assortativity, scale-free metric, clustering, profile, reciprocity."""
 
 import math
+from collections import Counter
 from itertools import combinations
+from math import fsum
 
+import numpy as np
 import pytest
 
 from cgtopo import (
@@ -25,7 +28,10 @@ from cgtopo.fixtures import (
     path_graph,
     star_graph,
 )
-from cgtopo.generators import GNM, RandomGraphSpec, generate_random
+from cgtopo import paths, topology
+from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
+from cgtopo.graph import CallGraph
+from cgtopo.topology import DISCONNECTED, ClusteringProfile
 
 
 def test_scale_free_closed_forms():
@@ -194,3 +200,139 @@ def test_reciprocity_complete_digraph_undefined():
     assert res.rho is None
     assert res.varrho == 1.0
     assert res.reason
+
+
+def _reference_profile(g, d_max):
+    """The per-node loop over ``neighbour_pair_distances``."""
+    h = symmetrize(g)
+    cell_values = {d: {} for d in range(1, d_max + 1)}
+    aggregate_values = {d: [] for d in range(1, d_max + 1)}
+    beyond_values, disconnected_values = [], []
+    for i, row in enumerate(h.out_adj):
+        k = len(row)
+        if k < 2:
+            continue
+        pairs = k * (k - 1) // 2
+        counts = neighbour_pair_distances(h, i)
+        per_d = Counter()
+        for d, c in counts.items():
+            per_d["disc" if d == DISCONNECTED else d if d <= d_max else "far"] += c
+        for d in range(1, d_max + 1):
+            aggregate_values[d].append(per_d[d] / pairs)
+            cell_values[d].setdefault(k, []).append(per_d[d] / pairs)
+        beyond_values.append(per_d["far"] / pairs)
+        disconnected_values.append(per_d["disc"] / pairs)
+    eligible = len(beyond_values)
+    return ClusteringProfile(
+        d_max=d_max,
+        cells={
+            d: {k: fsum(v) / len(v) for k, v in sorted(kv.items())}
+            for d, kv in cell_values.items()
+        },
+        aggregate={d: fsum(v) / len(v) for d, v in aggregate_values.items()},
+        beyond_fraction=fsum(beyond_values) / eligible,
+        disconnected_fraction=fsum(disconnected_values) / eligible,
+        eligible_count=eligible,
+    )
+
+
+def _two_cycles_sharing_a_vertex():
+    pairs = [(i, (i + 1) % 5) for i in range(5)]
+    pairs += [(0, 5), (5, 6), (6, 7), (7, 8), (8, 0)]
+    return CallGraph.from_id_pairs(9, pairs)
+
+
+def _random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    return CallGraph.from_id_pairs(
+        n, [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    )
+
+
+ARTICULATED = [
+    bridged_triangles(10),
+    star_graph(7),
+    path_graph(9),
+    _random_tree(40, 1),
+    _two_cycles_sharing_a_vertex(),
+    hierarchical_graph(3),
+    generate_random(RandomGraphSpec(model=GNM, n=120, m=160, seed=6)),
+    generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=400, gamma=2.5, seed=2)),
+]
+
+
+@pytest.mark.parametrize("d_max", [1, 2, 6])
+@pytest.mark.parametrize("index", range(len(ARTICULATED)))
+def test_profile_matches_per_node_reference(index, d_max):
+    g = ARTICULATED[index]
+    assert clustering_profile(g, d_max) == _reference_profile(g, d_max)
+
+
+def test_profile_counts_match_neighbour_pair_distances():
+    for g in ARTICULATED:
+        h = symmetrize(g)
+        csr = h.adjacency
+        for d_max in (1, 2, 6):
+            got = topology._pair_classes(csr.indptr, csr.indices, d_max)
+            for i in range(h.n):
+                want = [0] * (d_max + 2)
+                for d, c in neighbour_pair_distances(h, i).items():
+                    want[0 if d == DISCONNECTED else min(d, d_max + 1)] += c
+                assert got[i].tolist() == want
+
+
+def test_edge_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = ARTICULATED + [
+        generate_random(RandomGraphSpec(model=GNM, n=2000, m=2600, seed=9))
+    ]
+    for g in graphs:
+        h = symmetrize(g)
+        csr = h.adjacency
+        labels = topology._edge_blocks(csr.indptr, csr.indices)
+        arc = {
+            (u, v): int(labels[csr.indptr[u] + a])
+            for u, row in enumerate(h.out_adj)
+            for a, v in enumerate(row)
+        }
+        got: dict[int, set] = {}
+        for (u, v), label in arc.items():
+            assert arc[v, u] == label
+            got.setdefault(label, set()).add(frozenset((u, v)))
+        ug = nx.Graph(list(h.edges()))
+        want = {
+            frozenset(frozenset(e) for e in block)
+            for block in nx.biconnected_component_edges(ug)
+        }
+        assert {frozenset(edges) for edges in got.values()} == want
+
+
+def test_edge_blocks_beyond_int32_arc_codes():
+    # n * n exceeds 2**31 from n = 46,341 on
+    h = symmetrize(bridged_triangles(17_000))
+    csr = h.adjacency
+    labels = topology._edge_blocks(csr.indptr, csr.indices)
+    assert len(set(labels.tolist())) == 17_000 + 16_999
+    for u in (0, 3, h.n - 3, h.n - 1):
+        for a, v in enumerate(h.out_adj[u]):
+            back = csr.indptr[v] + h.out_adj[v].index(u)
+            assert labels[csr.indptr[u] + a] == labels[back]
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 130])
+def test_profile_row_batches(monkeypatch, rows):
+    # every node of a triangle or a square leads one search row with one
+    # pair, at distance 1 or 2; a 1-cell budget runs one row per batch,
+    # 512 cells at most 64 pairs (so 64 rows) per batch
+    triangles = next(t for t in range(4) if (rows - 3 * t) % 4 == 0)
+    pairs = []
+    for size in [3] * triangles + [4] * ((rows - 3 * triangles) // 4):
+        base = len({v for e in pairs for v in e})
+        pairs += [(base + i, base + (i + 1) % size) for i in range(size)]
+    g = CallGraph.from_id_pairs(rows, pairs)
+    for d_max in (1, 2):
+        want = _reference_profile(g, d_max)
+        assert want.beyond_fraction == (d_max == 1) * (rows - 3 * triangles) / rows
+        for cells in (1, 512, paths._BATCH_CELLS):
+            monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+            assert clustering_profile(g, d_max) == want
