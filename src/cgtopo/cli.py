@@ -14,8 +14,14 @@ import sys
 from pathlib import Path
 
 from .corpus import ValidationError
-from .epidemic import SisParams, sis_simulate, threshold_sweep
-from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, SpecError
+from .epidemic import (
+    SisParams,
+    sis_simulate,
+    sweep_betas,
+    threshold_sweep,
+    validate_params,
+)
+from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, SpecError, validate_model
 from .graph import CallGraphError, InputError, ParseError
 from .report import (
     CORPUS_DEFAULT_METRICS,
@@ -167,6 +173,15 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _check_flags(check, *args) -> None:
+    """Run a library parameter check before any input is read, so a bad
+    flag value is a config error, not an input error."""
+    try:
+        check(*args)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _run_analyze(args) -> int:
     config = _config(args, METRICS)
     g = load_graph(args.path, args.format)
@@ -198,6 +213,10 @@ def _run_corpus(args) -> int:
 
 def _run_baseline(args) -> int:
     config = _config(args, METRICS)
+    seed = _seed(args)
+    if args.replicates < 2:
+        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
+    validate_model(args.model, args.gamma)
     g = load_graph(args.path, args.format)
     report, extras, failures = analyze_graph(g, config, label=args.path)
     spec = RandomGraphSpec(
@@ -205,7 +224,7 @@ def _run_baseline(args) -> int:
         n=report["graph"]["n"],
         m=report["graph"]["m"],
         gamma=args.gamma,
-        seed=_seed(args),
+        seed=seed,
     )
     report["baseline"] = compare_baseline(report, spec, args.replicates)
     _emit(to_json(report), args.out, "report.json")
@@ -217,7 +236,6 @@ def _run_baseline(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    g = load_graph(args.path, args.format)
     params = SisParams(
         beta=args.beta,
         delta=args.delta,
@@ -225,6 +243,8 @@ def _run_simulate(args) -> int:
         max_steps=args.steps,
         seed=_seed(args),
     )
+    _check_flags(validate_params, params)
+    g = load_graph(args.path, args.format)
     trace = sis_simulate(g, params)
     if args.output == "csv":
         rows = list(enumerate(trace.infected_per_step))
@@ -247,7 +267,6 @@ def _run_simulate(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    g = load_graph(args.path, args.format)
     ratios = _numbers(args.ratios, float, "--ratios")
     base = SisParams(
         beta=0.0,
@@ -256,6 +275,9 @@ def _run_sweep(args) -> int:
         max_steps=args.steps,
         seed=_seed(args),
     )
+    _check_flags(validate_params, base)
+    _check_flags(sweep_betas, ratios, args.runs, args.delta)
+    g = load_graph(args.path, args.format)
     sweep = threshold_sweep(g, ratios, args.runs, base)
     if args.output == "csv":
         rows = [

@@ -21,8 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta
 
 from .graph import CallGraph, CallGraphError, InputError
 
@@ -117,10 +115,14 @@ def degree_summary(seq: DegreeSequence) -> DegreeSummary:
 
 
 def _power_law_loglik(gamma: float, log_sum: float, n_tail: int, x_min: int) -> float:
+    from scipy.special import zeta
+
     return -gamma * log_sum - n_tail * math.log(zeta(gamma, x_min))
 
 
 def _mle_gamma(log_sum: float, n_tail: int, x_min: int) -> float:
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: -_power_law_loglik(t, log_sum, n_tail, x_min),
         bounds=_GAMMA_BOUNDS,
@@ -133,6 +135,8 @@ def _mle_gamma(log_sum: float, n_tail: int, x_min: int) -> float:
 def _ks_distance(
     distinct: np.ndarray, cum_counts: np.ndarray, n_tail: int, gamma: float, x_min: int
 ) -> float:
+    from scipy.special import zeta
+
     fitted_cdf = 1.0 - zeta(gamma, distinct + 1) / zeta(gamma, x_min)
     empirical_cdf = cum_counts / n_tail
     return float(np.max(np.abs(empirical_cdf - fitted_cdf)))
@@ -204,6 +208,8 @@ def fit_exponential(seq: DegreeSequence, x_min: int) -> ExponentialFit:
 def _log_likelihood_diffs(
     pl: PowerLawFit, ex: ExponentialFit, tail: list[int]
 ) -> list[float]:
+    from scipy.special import zeta
+
     # per-sample log p_powerlaw(x) - log p_geometric(x), shared support
     log_norm = math.log(zeta(pl.gamma, pl.x_min))
     log_q = math.log(ex.rate)

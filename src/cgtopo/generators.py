@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .graph import CallGraph, CallGraphError
 
@@ -28,19 +27,25 @@ class RandomGraphSpec:
     seed: int = 0
 
 
+def validate_model(model: str, gamma: float | None) -> None:
+    """SpecError unless ``model`` is known and ``gamma`` suits it; these
+    checks need no graph size."""
+    if model not in (GNM, ERASED_CONFIG):
+        raise SpecError(f"unknown model: {model!r}")
+    if gamma is not None and not np.isfinite(gamma):
+        raise SpecError(f"gamma must be finite, got {gamma}")
+    if model == ERASED_CONFIG and (gamma is None or gamma <= 1):
+        raise SpecError("erased_configuration requires gamma > 1")
+
+
 def _validate(spec: RandomGraphSpec) -> None:
-    if spec.model not in (GNM, ERASED_CONFIG):
-        raise SpecError(f"unknown model: {spec.model!r}")
+    validate_model(spec.model, spec.gamma)
     if spec.n < 2:
         raise SpecError(f"n must be >= 2, got {spec.n}")
     if spec.model == GNM and not 0 <= spec.m <= spec.n * (spec.n - 1):
         raise SpecError(
             f"m={spec.m} outside [0, n(n-1)] = [0, {spec.n * (spec.n - 1)}]"
         )
-    if spec.gamma is not None and not np.isfinite(spec.gamma):
-        raise SpecError(f"gamma must be finite, got {spec.gamma}")
-    if spec.model == ERASED_CONFIG and (spec.gamma is None or spec.gamma <= 1):
-        raise SpecError("erased_configuration requires gamma > 1")
 
 
 def sample_power_law(
@@ -56,6 +61,8 @@ def sample_power_law(
         raise SpecError("power-law sampler requires gamma > 1")
     if x_min < 1:
         raise SpecError(f"power-law sampler requires x_min >= 1, got {x_min}")
+    from scipy.special import zeta
+
     table = 1_000_000
     support = np.arange(x_min, x_min + table, dtype=np.float64)
     norm = zeta(gamma, x_min)

@@ -12,10 +12,9 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 
 class CallGraphError(Exception):
@@ -105,14 +104,26 @@ class CallGraph:
         return symmetrize(self)
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Sparse 0/1 adjacency; row u marks the stored arcs u -> v."""
-        rows, cols = [], []
-        for u, row in enumerate(self.out_adj):
-            rows.extend([u] * len(row))
-            cols.extend(row)
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` int32 arrays of the stored arcs: row u,
+        ``indices[indptr[u]:indptr[u + 1]]``, lists the successors of u
+        in ascending order."""
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(self.out_degrees, out=indptr[1:])
+        indices = np.fromiter(
+            chain.from_iterable(self.out_adj), dtype=np.int32, count=int(indptr[-1])
+        )
+        return indptr, indices
+
+    @cached_property
+    def adjacency(self):
+        """Sparse 0/1 adjacency (a scipy ``csr_matrix`` over the ``csr``
+        arrays); row u marks the stored arcs u -> v."""
+        import scipy.sparse as sp
+
+        indptr, indices = self.csr
+        data = np.ones(len(indices), dtype=np.float64)
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     # -- construction ----------------------------------------------------
 
@@ -337,6 +348,8 @@ def symmetrize(g: CallGraph) -> CallGraph:
 def components(g: CallGraph, connection: str) -> list[list[int]]:
     """``connection`` ("weak" or "strong") components as sorted id lists,
     largest first, ties on size broken toward the smallest member id."""
+    from scipy.sparse.csgraph import connected_components
+
     count, labels = connected_components(g.adjacency, connection=connection)
     members = np.argsort(labels, kind="stable")
     cuts = np.cumsum(np.bincount(labels, minlength=count))[:-1]

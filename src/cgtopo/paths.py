@@ -114,14 +114,18 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     if g.n < 2:
         raise InputError("geodesic mean needs n >= 2")
     h = g if directed else g.undirected
-    csr = h.adjacency.T.tocsr() if directed else h.adjacency
+    if directed:
+        csr = h.adjacency.T.tocsr()
+        indptr, indices = csr.indptr, csr.indices
+    else:
+        indptr, indices = h.csr
     n = h.n
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
     step = 64 * _batch_width(n)
     for start in range(0, n, step):
         sources = np.arange(start, min(start + step, n))
-        for depth, _, bits in _bitset_bfs(csr.indptr, csr.indices, sources):
+        for depth, _, bits in _bitset_bfs(indptr, indices, sources):
             per_depth[depth] += int(np.bitwise_count(bits).sum())
     reachable = sum(per_depth.values())
     inv_sum = fsum(count / depth for depth, count in per_depth.items())
@@ -151,11 +155,9 @@ def betweenness(g: CallGraph) -> BetweennessResult:
     are accumulated walking the DAG levels in reverse.
     """
     n = g.n
-    csr = g.adjacency
-    indptr = csr.indptr.astype(np.int64)
-    indices = csr.indices.astype(np.int64)
+    indptr, indices = (a.astype(np.int64) for a in g.csr)
     scores = np.zeros(n)
-    block = _batch_width(max(n, csr.nnz))
+    block = _batch_width(max(n, indices.size))
     for start in range(0, n, block):
         sources = np.arange(start, min(start + block, n))
         scores += _brandes_block(indptr, indices, sources)

@@ -397,6 +397,13 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     if jobs == 1 or len(tasks) <= 1:
         outcomes = [_corpus_worker(task) for task in tasks]
     else:
+        # the metrics import scipy where they call it; importing it here,
+        # before the fork, lets the workers share one copy
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+        import scipy.special  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_corpus_worker, tasks))
     reports = []

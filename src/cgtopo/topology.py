@@ -242,13 +242,13 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     """
     if d_max < 1:
         raise InputError(f"d_max must be >= 1, got {d_max}")
-    csr = g.undirected.adjacency
-    degree = np.diff(csr.indptr)
+    indptr, indices = g.undirected.csr
+    degree = np.diff(indptr)
     eligible = np.flatnonzero(degree >= 2)
     if eligible.size == 0:
         raise InputError("no node with degree >= 2 to profile")
     k = degree[eligible]
-    frac = _pair_classes(csr.indptr, csr.indices, d_max)[eligible] / (
+    frac = _pair_classes(indptr, indices, d_max)[eligible] / (
         k * (k - 1) // 2
     )[:, None]
     count = eligible.size

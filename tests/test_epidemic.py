@@ -6,8 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgtopo import (
+    CallGraph,
     ConvergenceError,
     InputError,
     SisParams,
@@ -16,7 +18,13 @@ from cgtopo import (
     spectral_radius,
     threshold_sweep,
 )
-from cgtopo.fixtures import complete_graph, cycle_graph, path_graph, star_graph
+from cgtopo.fixtures import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    permutation_core_graph,
+    star_graph,
+)
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import largest_wcc
 
@@ -166,13 +174,17 @@ def test_sis_parameter_validation():
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(), max_steps=5, seed=1))
 
 
-def _oracle_sis(g, params):
-    """Transcript of the documented SIS process on a freshly built dense
-    symmetrized matrix: 2n uniforms per step, p = 1 - (1-beta)^c."""
+def _oracle_sis(g, params, flips=None):
+    """Transcript of the documented SIS process, recounting c every step
+    by a scipy mat-vec on a freshly built symmetrized 0/1 matrix: 2n
+    uniforms per step, p = 1 - (1-beta)^c.  Appends the number of nodes
+    that change state in each step to ``flips`` when given."""
     n = g.n
-    a = np.zeros((n, n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1
+    arcs = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([arcs[:, 0], arcs[:, 1]])
+    cols = np.concatenate([arcs[:, 1], arcs[:, 0]])
+    a = sp.csr_matrix((np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n))
+    a.data[:] = 1  # an arc stored both ways was summed to 2
     rng = np.random.Generator(np.random.PCG64(params.seed))
     infected = np.zeros(n, dtype=bool)
     if isinstance(params.initial_infected, int):
@@ -188,6 +200,8 @@ def _oracle_sis(g, params):
         newly = ~infected & (infect_draw < p)
         cured = infected & (cure_draw < params.delta)
         infected = (infected & ~cured) | newly
+        if flips is not None:
+            flips.append(int(newly.sum() + cured.sum()))
         counts.append(int(infected.sum()))
         if counts[-1] == 0:
             return tuple(counts), step, ()
@@ -226,6 +240,53 @@ def test_sis_matches_independent_oracle():
                     assert trace.outcome == (
                         "extinct" if extinct_step is not None else "survived"
                     ), where
+
+
+def _assert_trace_matches_oracle(g, params, flips=None):
+    trace = sis_simulate(g, params)
+    counts, extinct_step, final = _oracle_sis(g, params, flips)
+    assert trace.infected_per_step == counts, params
+    assert trace.extinct_step == extinct_step, params
+    assert trace.final_infected == final, params
+
+
+def test_sis_matches_oracle_on_large_graphs():
+    core = permutation_core_graph(5000, 17359, 3)
+    # an erased-configuration graph with 200 isolated nodes among its ids
+    erased = generate_random(
+        RandomGraphSpec(model=ERASED_CONFIG, n=3000, gamma=2.5, seed=6)
+    )
+    ids = np.random.default_rng(0).permutation(erased.n + 200)
+    sparse = CallGraph.from_id_pairs(
+        ids.size, [(int(ids[u]), int(ids[v])) for u, v in erased.edges()]
+    )
+    isolated = int(ids[-1])
+    assert not sparse.out_adj[isolated] and not sparse.in_adj[isolated]
+    # far above threshold from a large seed set, thousands flip per step
+    flips = []
+    for seed in (1, 2):
+        params = SisParams(
+            beta=0.9, delta=0.5, initial_infected=2500, max_steps=30, seed=seed
+        )
+        _assert_trace_matches_oracle(core, params, flips)
+    assert max(flips) > 1000
+    for g in (core, sparse):
+        for beta in (0.0, 1.0):
+            for delta in (0.0, 1.0):
+                # a seed of degree 0 in `sparse`, and a duplicate id
+                params = SisParams(
+                    beta=beta,
+                    delta=delta,
+                    initial_infected=(isolated, 17, 4, 17),
+                    max_steps=25,
+                    seed=11,
+                )
+                _assert_trace_matches_oracle(g, params)
+        for beta, delta, initial in ((0.3, 0.2, 40), (0.05, 0.1, (isolated, 9, 9))):
+            params = SisParams(
+                beta=beta, delta=delta, initial_infected=initial, max_steps=80, seed=5
+            )
+            _assert_trace_matches_oracle(g, params)
 
 
 def test_sweep_matches_oracle_outcomes():

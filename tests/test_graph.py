@@ -1,5 +1,6 @@
 """Graph construction, parsing, serialization, and component helpers."""
 
+import numpy as np
 import pytest
 
 from cgtopo import (
@@ -36,6 +37,23 @@ def test_adjacency_is_sorted_and_transposed():
     arcs = {(u, v) for u in range(g.n) for v in g.out_adj[u]}
     rev = {(v, u) for v in range(g.n) for u in g.in_adj[v]}
     assert arcs == {(b, a) for a, b in rev}
+
+
+def test_csr_arrays_and_the_sparse_adjacency_share_them():
+    # isolated nodes 0 and 4, an arc stored both ways, unsorted input
+    g = CallGraph.from_id_pairs(6, [(3, 1), (1, 3), (2, 5), (2, 1), (5, 3)])
+    indptr, indices = g.csr
+    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr.tolist() == [0, 0, 1, 3, 4, 4, 5]
+    assert indices.tolist() == [3, 1, 5, 1, 3]
+    for u in range(g.n):
+        assert tuple(indices[indptr[u] : indptr[u + 1]]) == g.out_adj[u]
+    a = g.adjacency
+    assert a.shape == (6, 6) and a.nnz == 5 and set(a.data) == {1.0}
+    assert np.shares_memory(a.indptr, indptr) and np.shares_memory(a.indices, indices)
+    edgeless = CallGraph.from_id_pairs(3, [])
+    assert edgeless.csr[0].tolist() == [0, 0, 0, 0] and edgeless.csr[1].size == 0
+    assert edgeless.adjacency.nnz == 0
 
 
 def test_has_edge_and_neighbours():

@@ -1,0 +1,132 @@
+"""What each entry point imports, checked in a fresh interpreter.
+
+scipy is imported inside the functions that call it, so the SIS commands
+run on numpy alone, while the corpus pool still imports it once, before
+it forks, and its workers share that copy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import cgtopo
+from cgtopo.fixtures import star_graph, to_edge_list
+from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
+
+
+def _run(script: str, *argv) -> str:
+    """stdout of ``script`` run by a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(cgtopo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_sis_commands_import_no_scipy(tmp_path):
+    graph = tmp_path / "g.edges"
+    graph.write_text(
+        to_edge_list(generate_random(RandomGraphSpec(model=GNM, n=60, m=180, seed=2))),
+        encoding="utf-8",
+    )
+    out = _run(
+        """
+        import json, sys
+        from cgtopo.cli import main
+        path, out = sys.argv[1:]
+        codes = [
+            main(["sweep", path, "--ratios", "0.5,2", "--runs", "3", "--delta", "0.3",
+                  "--steps", "20", "--out", out]),
+            main(["simulate", path, "--beta", "0.4", "--delta", "0.2", "--steps", "20",
+                  "--initial-count", "3", "--out", out]),
+        ]
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """,
+        graph,
+        tmp_path / "out",
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
+
+
+def test_cli_import_loads_every_module():
+    # perfbench's tracer looks each module up in sys.modules after
+    # importing cgtopo.cli
+    modules = ("graph", "degree", "epidemic", "generators", "paths", "topology",
+               "report", "corpus")
+    out = _run(
+        """
+        import json, sys
+        import cgtopo.cli
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("cgtopo."))))
+        """
+    )
+    loaded = set(json.loads(out))
+    assert {f"cgtopo.{m}" for m in modules} <= loaded
+
+
+def test_corpus_workers_import_nothing_new(tmp_path):
+    graphs = {
+        "gnm": generate_random(RandomGraphSpec(model=GNM, n=80, m=240, seed=1)),
+        "erased": generate_random(
+            RandomGraphSpec(model=ERASED_CONFIG, n=120, gamma=2.5, seed=2)
+        ),
+        "star": star_graph(20),
+    }
+    rows = []
+    for label, g in graphs.items():
+        text = to_edge_list(g, drop_isolated=True)
+        (tmp_path / f"{label}.edges").write_text(text, encoding="utf-8")
+        rows.append(f"{label}\tC\tx\t{label}.edges")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    probes = tmp_path / "probes"
+    probes.mkdir()
+    out = _run(
+        """
+        import json, os, sys
+        import cgtopo.report as report
+        from cgtopo.report import CORPUS_DEFAULT_METRICS, AnalysisConfig, analyze_corpus
+
+        manifest, probes = sys.argv[1:]
+        worker = report._corpus_worker
+
+        def probe(task):
+            # a forked worker starts with the parent's modules
+            before = set(sys.modules)
+            result = worker(task)
+            fresh = sorted(
+                m for m in set(sys.modules) - before if not m.startswith("cgtopo")
+            )
+            path = os.path.join(probes, f"{os.getpid()}-{task[0].label}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(fresh, fh)
+            return result
+
+        report._corpus_worker = probe
+        config = AnalysisConfig(input_path=None, metrics=CORPUS_DEFAULT_METRICS, seed=7)
+        result = analyze_corpus(manifest, config, jobs=2)
+        print(json.dumps({"failures": result["failures"], "parent": os.getpid()}))
+        """,
+        manifest,
+        probes,
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result["failures"] == 0
+    seen = {}
+    for path in probes.iterdir():
+        pid, label = path.stem.split("-", 1)
+        assert int(pid) != result["parent"]
+        seen[label] = json.loads(path.read_text(encoding="utf-8"))
+    assert seen == {label: [] for label in graphs}

@@ -297,6 +297,45 @@ def test_cli_flag_parse_errors_are_config_errors(sample_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
+    # the input file does not exist, so reading it first would exit 2
+    missing = str(tmp_path / "missing.edges")
+    sweep = ["sweep", missing, "--ratios", "0.5,1", "--runs", "2", "--steps", "5"]
+    for extra in (
+        ["--runs", "0"],
+        ["--steps", "0"],
+        ["--delta", "2"],
+        ["--delta", "nan"],
+        ["--initial-count", "0"],
+        ["--initial-nodes=-1"],
+        ["--initial-nodes", ","],
+        ["--ratios", "1,0.5"],
+        ["--ratios", ""],
+        ["--ratios", "0.5,30"],  # beta = 30 * delta(1.0) is above 1
+    ):
+        assert main(sweep + extra) == 3, extra
+    simulate = ["simulate", missing, "--beta", "0.5", "--delta", "0.5", "--steps", "5"]
+    for extra in (
+        ["--beta", "2"],
+        ["--beta", "-0.1"],
+        ["--delta", "2"],
+        ["--steps", "0"],
+        ["--initial-count", "0"],
+    ):
+        assert main(simulate + extra) == 3, extra
+    assert main(["baseline", missing, "--replicates", "1"]) == 3
+    assert main(["baseline", missing, "--seed", "-2"]) == 3
+    assert main(["baseline", missing, "--model", "erased_configuration"]) == 3
+    assert main(["baseline", missing, "--gamma", "nan"]) == 3
+    assert main(sweep) == 2
+    # values that depend on the graph are input errors (sample n = 7)
+    sweep[1] = simulate[1] = str(sample_path)
+    assert main(sweep + ["--initial-count", "8"]) == 2
+    assert main(simulate + ["--initial-nodes", "0,7"]) == 2
+    assert main(simulate + ["--initial-nodes", "0,6"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_internal_value_error_is_not_a_config_error(
     sample_path, monkeypatch, capsys
 ):
