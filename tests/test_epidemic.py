@@ -262,7 +262,7 @@ def test_sis_matches_oracle_on_large_graphs():
     )
     isolated = int(ids[-1])
     assert not sparse.out_adj[isolated] and not sparse.in_adj[isolated]
-    # far above threshold from a large seed set, thousands flip per step
+    # far above threshold from a large seed set: over 1,000 nodes flip in a step
     flips = []
     for seed in (1, 2):
         params = SisParams(
