@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,32 +73,23 @@ class FitComparison:
 def degree_sequence(g: CallGraph, mode: str) -> DegreeSequence:
     """Per-node degrees; total = in + out on directed graphs."""
     if mode == "in":
-        values = tuple(len(s) for s in g.in_adj)
+        values = g.in_degrees
     elif mode == "out":
-        values = tuple(len(s) for s in g.out_adj)
+        values = g.out_degrees
     elif mode == "total":
-        if g.directed:
-            values = tuple(
-                len(a) + len(b) for a, b in zip(g.in_adj, g.out_adj)
-            )
-        else:
-            values = tuple(len(s) for s in g.out_adj)
+        values = g.in_degrees + g.out_degrees if g.directed else g.out_degrees
     else:
         raise InputError(f"unknown degree mode: {mode!r}")
-    return DegreeSequence(mode=mode, values=values)
+    return DegreeSequence(mode=mode, values=tuple(values.tolist()))
 
 
 def empirical_ccdf(seq: DegreeSequence) -> list[tuple[int, float]]:
     """(degree, P[X > degree]) over sorted distinct degrees."""
     if seq.n == 0:
         raise InputError("empty degree sequence")
-    counts = Counter(seq.values)
-    remaining = seq.n
-    out = []
-    for d in sorted(counts):
-        remaining -= counts[d]
-        out.append((d, remaining / seq.n))
-    return out
+    degrees, counts = np.unique(seq.values, return_counts=True)
+    remaining = (seq.n - np.cumsum(counts)).tolist()
+    return [(d, r / seq.n) for d, r in zip(degrees.tolist(), remaining)]
 
 
 def degree_summary(seq: DegreeSequence) -> DegreeSummary:

@@ -114,7 +114,7 @@ def spectral_radius(
         raise ConvergenceError(
             f"residual {residual:.3e} exceeds tolerance {tolerance:.3e}", lam, vec
         )
-    d_max = int(max(len(row) for row in h.out_adj))
+    d_max = int(h.out_degrees.max())
     slack = 1e-6
     if not (math.sqrt(d_max) - slack <= lam <= d_max + slack):
         raise ConvergenceError(

@@ -8,11 +8,9 @@ assigned in first-appearance order by the loaders.
 from __future__ import annotations
 
 import re
-import sys
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -35,20 +33,20 @@ class InputError(CallGraphError):
     """Structurally invalid input (empty graph, bad node reference, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CallGraph:
-    """Immutable simple graph with dense integer node ids.
+    """Immutable simple graph with dense integer node ids, stored as CSR.
 
-    ``out_adj`` / ``in_adj`` hold sorted successor / predecessor id
-    tuples; ``in_adj`` is the exact transpose of ``out_adj``.  When
-    ``directed`` is False both adjacencies are identical neighbour
-    lists and every edge is stored in both directions; ``m`` then
-    counts unordered edges (half the stored arcs).
+    Row u of the out-arcs, ``indices[indptr[u]:indptr[u + 1]]`` (int32),
+    lists the successors of u in ascending order.  When ``directed`` is
+    False every edge is stored in both directions and ``m`` counts
+    unordered edges (half the stored arcs).  The tuple-of-tuples
+    ``out_adj`` / ``in_adj`` are read-only views built on first read.
     """
 
     names: tuple[str, ...]
-    out_adj: tuple[tuple[int, ...], ...]
-    in_adj: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     directed: bool = True
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
@@ -59,8 +57,30 @@ class CallGraph:
 
     @property
     def m(self) -> int:
-        arcs = sum(len(s) for s in self.out_adj)
+        arcs = len(self.indices)
         return arcs if self.directed else arcs // 2
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the out-arcs."""
+        return self.indptr, self.indices
+
+    @cached_property
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the in-arcs: row v lists the
+        predecessors of v in ascending order."""
+        if not self.directed:
+            return self.csr
+        tails, heads = self.arcs()
+        return _csr(self.n, np.sort(heads * self.n + tails))
+
+    @cached_property
+    def out_adj(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(*self.csr)
+
+    @cached_property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(*self.in_csr) if self.directed else self.out_adj
 
     def successors(self, u: int) -> tuple[int, ...]:
         return self.out_adj[u]
@@ -69,16 +89,26 @@ class CallGraph:
         return self.in_adj[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.out_adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        row = self.indices[self.indptr[u] : self.indptr[u + 1]]
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every stored arc as int64 (tail, head) arrays, in row order."""
+        tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return tails, self.indices.astype(np.int64)
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``edges()`` as int64 (u, v) arrays, in the same order."""
+        u, v = self.arcs()
+        if self.directed:
+            return u, v
+        keep = u < v
+        return u[keep], v[keep]
 
     def edges(self):
         """Iterate edges: (u, v) arcs if directed, u < v pairs otherwise."""
-        for u, row in enumerate(self.out_adj):
-            for v in row:
-                if self.directed or u < v:
-                    yield u, v
+        return zip(*(a.tolist() for a in self.edge_arrays()))
 
     def id_of(self, name: str) -> int:
         try:
@@ -92,11 +122,11 @@ class CallGraph:
 
     @cached_property
     def out_degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self.out_adj], dtype=np.int64)
+        return np.diff(self.indptr).astype(np.int64)
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self.in_adj], dtype=np.int64)
+        return np.bincount(self.indices, minlength=self.n)
 
     @cached_property
     def undirected(self) -> "CallGraph":
@@ -104,26 +134,13 @@ class CallGraph:
         return symmetrize(self)
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(indptr, indices)`` int32 arrays of the stored arcs: row u,
-        ``indices[indptr[u]:indptr[u + 1]]``, lists the successors of u
-        in ascending order."""
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(self.out_degrees, out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(self.out_adj), dtype=np.int32, count=int(indptr[-1])
-        )
-        return indptr, indices
-
-    @cached_property
     def adjacency(self):
         """Sparse 0/1 adjacency (a scipy ``csr_matrix`` over the ``csr``
         arrays); row u marks the stored arcs u -> v."""
         import scipy.sparse as sp
 
-        indptr, indices = self.csr
-        data = np.ones(len(indices), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        data = np.ones(len(self.indices), dtype=np.float64)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     # -- construction ----------------------------------------------------
 
@@ -131,59 +148,65 @@ class CallGraph:
     def from_name_pairs(cls, pairs, extra_nodes=()) -> "CallGraph":
         """Build from (caller, callee) name pairs, canonicalizing.
 
-        Ids follow first appearance scanning each pair caller-first.
-        Self-loops are dropped and duplicate edges collapsed; the drop
-        counts are recorded on the result.
+        Ids follow first appearance scanning each pair caller-first,
+        then ``extra_nodes``.  Self-loops are dropped and duplicate
+        edges collapsed; the drop counts are recorded on the result.
         """
-        index: dict[str, int] = {}
-        names: list[str] = []
-
-        def intern_id(name: str) -> int:
-            i = index.get(name)
-            if i is None:
-                i = len(names)
-                index[name] = i
-                names.append(sys.intern(name))
-            return i
-
-        id_pairs = [(intern_id(a), intern_id(b)) for a, b in pairs]
-        for name in extra_nodes:
-            intern_id(name)
-        return cls.from_id_pairs(len(names), id_pairs, names=tuple(names))
+        return _from_tokens([name for a, b in pairs for name in (a, b)], extra_nodes)
 
     @classmethod
     def from_id_pairs(cls, n: int, pairs, names=None) -> "CallGraph":
         """Build from integer id pairs on nodes 0..n-1, canonicalizing."""
+        ends = np.array([(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
+        if bad.size:
+            u, v = ends[bad[0]].tolist()
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
         if names is None:
             names = tuple(f"n{i}" for i in range(n))
-        loops = 0
-        seen: set[tuple[int, int]] = set()
-        out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        dups = 0
-        for u, v in pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                loops += 1
-                continue
-            if (u, v) in seen:
-                dups += 1
-                continue
-            seen.add((u, v))
-            out[u].append(v)
-            inn[v].append(u)
-        g = cls(
-            names=tuple(names),
-            out_adj=tuple(tuple(sorted(s)) for s in out),
-            in_adj=tuple(tuple(sorted(s)) for s in inn),
-            directed=True,
-            dropped_self_loops=loops,
-            dropped_duplicates=dups,
-        )
-        if g.n == 0:
-            raise InputError("empty graph (0 nodes)")
-        return g
+        return _canonical(n, tuple(names), ends.ravel())
+
+
+def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 ``(indptr, indices)`` of the ascending arc codes u * n + v."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+    return indptr, (codes % n).astype(np.int32)
+
+
+def _unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes, ascending, by a sort: ``np.unique`` dedupes
+    integers through a hash set (numpy 2.3+), 15 ms against 1 ms on 70k
+    arc codes, and it leaves about 3 MiB more memory behind."""
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]  # codes are >= 0
+
+
+def _rows(indptr, indices) -> tuple[tuple[int, ...], ...]:
+    flat = indices.tolist()
+    ptr = indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def _canonical(n: int, names: tuple[str, ...], ends: np.ndarray) -> CallGraph:
+    """CallGraph on nodes 0..n-1 from flat int64 ids caller, callee, ...:
+    self-loops dropped and duplicate arcs collapsed, both counted."""
+    if n == 0:
+        raise InputError("empty graph (0 nodes)")
+    u, v = ends[0::2], ends[1::2]
+    proper = u != v
+    codes = u[proper] * n + v[proper]
+    unique = _unique(codes)
+    loops, dups = u.size - codes.size, codes.size - unique.size
+    return CallGraph(names, *_csr(n, unique), True, loops, dups)
+
+
+def _from_tokens(tokens: list[str], extra_nodes=()) -> CallGraph:
+    """CallGraph from the flat name list caller, callee, caller, ...;
+    ids follow first appearance, then ``extra_nodes``."""
+    index = dict(zip(dict.fromkeys(chain(tokens, extra_nodes)), count()))
+    ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    return _canonical(len(index), tuple(index), ends)
 
 
 # -- loaders -------------------------------------------------------------
@@ -204,19 +227,17 @@ def load_edge_list(source) -> CallGraph:
     Lines starting with ``#`` and blank lines are ignored.  Any other
     line must hold exactly two whitespace-separated tokens.
     """
-    pairs = []
+    tokens: list[str] = []
     for lineno, raw in enumerate(_decode(source).splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
+        if raw.startswith("#"):
             continue
-        tokens = raw.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected 'caller callee', got {len(tokens)} tokens", lineno
-            )
-        pairs.append((tokens[0], tokens[1]))
-    if not pairs:
-        raise InputError("empty graph (0 nodes)")
-    return CallGraph.from_name_pairs(pairs)
+        pair = raw.split()
+        if len(pair) != 2:
+            if not pair:
+                continue
+            raise ParseError(f"expected 'caller callee', got {len(pair)} tokens", lineno)
+        tokens += pair
+    return _from_tokens(tokens)
 
 
 _DOT_NAME = r'"(?:[^"\\]|\\.)*"|[A-Za-z0-9_.:<>+-]+'
@@ -259,7 +280,7 @@ def load_dot_subset(source) -> CallGraph:
         )
     body = text[header.end() : close]
     first_line = text.count("\n", 0, header.end()) + 1
-    pairs = []
+    tokens: list[str] = []
     for lineno, line in enumerate(body.split("\n"), start=first_line):
         for raw in line.split(";"):
             stmt = raw.strip()
@@ -272,11 +293,8 @@ def load_dot_subset(source) -> CallGraph:
                 raise ParseError(f"unsupported DOT construct: {stmt!r}", lineno)
             if edge.group("op") == "--":
                 raise ParseError("unsupported DOT construct: undirected edge", lineno)
-            src, dst = edge.group("src", "dst")
-            pairs.append((_dot_unquote(src), _dot_unquote(dst)))
-    if not pairs:
-        raise InputError("empty graph (0 nodes)")
-    return CallGraph.from_name_pairs(pairs)
+            tokens += map(_dot_unquote, edge.group("src", "dst"))
+    return _from_tokens(tokens)
 
 
 def load_graph(path, fmt: str) -> CallGraph:
@@ -294,36 +312,41 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
     be represented in the format and raise unless ``drop_isolated``.
     """
     n = g.n
-    incident: list[set[int]] = [set(g.out_adj[i]) | set(g.in_adj[i]) for i in range(n)]
-    if not drop_isolated and any(not s for s in incident):
+    # the smallest neighbour of each node, either direction; n if none
+    first = np.full(n, n, dtype=np.int64)
+    for indptr, indices in (g.csr, g.in_csr):
+        has = np.flatnonzero(np.diff(indptr))
+        first[has] = np.minimum(first[has], indices[indptr[has]])
+    if not drop_isolated and (first == n).any():
         raise InputError("edge-list format cannot represent isolated nodes")
-
+    tails, heads = g.arcs()
+    arcs = tails * n + heads
+    ids = np.arange(n - 1, dtype=np.int64)
+    forward = np.isin(ids * n + ids + 1, arcs).tolist()
+    # one leading edge per node, in id order, introducing the node: to
+    # its smallest neighbour, already introduced when smaller; else to
+    # t + 1 when t calls it, so the callee's id follows
     introduced = [False] * n
-    emitted: set[tuple[int, int]] = set()
-    lines: list[str] = []
-
-    def emit(u: int, v: int) -> None:
-        emitted.add((u, v))
-        introduced[u] = introduced[v] = True
-        lines.append(f"{g.names[u]} {g.names[v]}")
-
-    for t in range(n):
-        if introduced[t] or not incident[t]:
+    lead = []
+    for t, u in enumerate(first.tolist()):
+        if introduced[t] or u == n:
             continue
-        earlier = [u for u in incident[t] if u < t and introduced[u]]
-        if earlier:
-            u = min(earlier)
-            emit(*((u, t) if g.has_edge(u, t) else (t, u)))
-        elif t + 1 < n and g.has_edge(t, t + 1):
-            # first appearance as a caller introducing a fresh callee
-            emit(t, t + 1)
+        if u < t:
+            lead.append((u, t))
+        elif forward[t]:
+            lead.append((t, t + 1))
+            introduced[t + 1] = True
         else:
-            u = min(incident[t])
-            emit(*((t, u) if g.has_edge(t, u) else (u, t)))
-    for u, v in sorted(g.edges()):
-        if (u, v) not in emitted:
-            lines.append(f"{g.names[u]} {g.names[v]}")
-    return "\n".join(lines) + "\n"
+            lead.append((t, u))
+            introduced[u] = True
+    lo, hi = np.array(lead, dtype=np.int64).reshape(-1, 2).T
+    lead_codes = np.where(np.isin(lo * n + hi, arcs), lo * n + hi, hi * n + lo)
+    u, v = g.edge_arrays()
+    codes = u * n + v
+    codes = np.concatenate((lead_codes, codes[~np.isin(codes, lead_codes)]))
+    names = g.names
+    pairs = zip((codes // n).tolist(), (codes % n).tolist())
+    return "\n".join(f"{names[a]} {names[b]}" for a, b in pairs) + "\n"
 
 
 # -- structural transforms ------------------------------------------------
@@ -333,16 +356,10 @@ def symmetrize(g: CallGraph) -> CallGraph:
     """Undirected view: {i, j} present iff (i, j) or (j, i) in g."""
     if not g.directed:
         return g
-    neigh = [sorted(set(g.out_adj[i]) | set(g.in_adj[i])) for i in range(g.n)]
-    adj = tuple(tuple(s) for s in neigh)
-    return CallGraph(
-        names=g.names,
-        out_adj=adj,
-        in_adj=adj,
-        directed=False,
-        dropped_self_loops=g.dropped_self_loops,
-        dropped_duplicates=g.dropped_duplicates,
-    )
+    tails, heads = g.arcs()
+    codes = _unique(np.concatenate((tails * g.n + heads, heads * g.n + tails)))
+    indptr, indices = _csr(g.n, codes)
+    return replace(g, indptr=indptr, indices=indices, directed=False)
 
 
 def components(g: CallGraph, connection: str) -> list[list[int]]:
@@ -372,21 +389,15 @@ def largest_wcc(g: CallGraph) -> CallGraph:
     Node ids are re-densified in ascending original-id order; names are
     preserved.
     """
-    keep = weak_components(g)[0]
+    keep = np.array(weak_components(g)[0])
     if len(keep) == g.n:
         return g
-    remap = {old: new for new, old in enumerate(keep)}
-    out = tuple(
-        tuple(remap[v] for v in g.out_adj[u] if v in remap) for u in keep
-    )
-    inn = tuple(
-        tuple(remap[v] for v in g.in_adj[u] if v in remap) for u in keep
-    )
-    return CallGraph(
-        names=tuple(g.names[u] for u in keep),
-        out_adj=out,
-        in_adj=inn,
-        directed=g.directed,
-        dropped_self_loops=g.dropped_self_loops,
-        dropped_duplicates=g.dropped_duplicates,
-    )
+    # a weak component is closed under arcs: keep every arc out of it
+    remap = np.full(g.n, -1)
+    remap[keep] = np.arange(len(keep))
+    tails, heads = g.arcs()
+    inside = remap[tails] >= 0
+    codes = remap[tails[inside]] * len(keep) + remap[heads[inside]]
+    indptr, indices = _csr(len(keep), codes)
+    names = tuple(g.names[u] for u in keep.tolist())
+    return replace(g, names=names, indptr=indptr, indices=indices)

@@ -113,13 +113,9 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     """
     if g.n < 2:
         raise InputError("geodesic mean needs n >= 2")
-    h = g if directed else g.undirected
-    if directed:
-        csr = h.adjacency.T.tocsr()
-        indptr, indices = csr.indptr, csr.indices
-    else:
-        indptr, indices = h.csr
-    n = h.n
+    # the BFS reads rows pull-wise: row v lists the nodes one step before v
+    indptr, indices = g.in_csr if directed else g.undirected.csr
+    n = g.n
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
     step = 64 * _batch_width(n)
@@ -214,27 +210,22 @@ def _brandes_block(indptr, indices, sources) -> np.ndarray:
 
 def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:
     """Log-spaced histogram (zeros bucketed separately) plus tail CCDF."""
-    positives = sorted(v for v in res.values if v > 0)
-    zero_count = len(res.values) - len(positives)
-    if not positives:
+    values = np.array(res.values)
+    positives = np.sort(values[values > 0])
+    zero_count = values.size - positives.size
+    if not positives.size:
         return BetweennessDistribution(zero_count=zero_count, buckets=(), ccdf=())
-    buckets = []
-    lo = positives[0]
-    hi_val = positives[-1]
-    while lo <= hi_val:
-        hi = lo * 2.0
-        count = sum(1 for v in positives if lo <= v < hi)
-        buckets.append((lo, hi, count))
-        lo = hi
-    counts = Counter(positives)
-    ccdf = []
-    total = len(positives)
-    seen = 0
-    for v in sorted(counts):
-        seen += counts[v]
-        ccdf.append((v, (total - seen) / total))
+    # doubling bucket edges from the smallest positive value
+    edges = [float(positives[0])]
+    while edges[-1] <= positives[-1]:
+        edges.append(edges[-1] * 2.0)
+    counts = np.diff(np.searchsorted(positives, edges)).tolist()
+    distinct, repeats = np.unique(positives, return_counts=True)
+    tail = (positives.size - np.cumsum(repeats)).tolist()
     return BetweennessDistribution(
-        zero_count=zero_count, buckets=tuple(buckets), ccdf=tuple(ccdf)
+        zero_count=zero_count,
+        buckets=tuple(zip(edges, edges[1:], counts)),
+        ccdf=tuple((v, t / positives.size) for v, t in zip(distinct.tolist(), tail)),
     )
 
 

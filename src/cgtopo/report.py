@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -383,11 +384,19 @@ def _corpus_worker(task: tuple[CorpusEntry, AnalysisConfig]) -> tuple[str, objec
         return "error", str(exc)
 
 
+def _file_size(path) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:
+        return 0
+
+
 def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict:
     """One report per manifest entry plus a per-program summary table.
 
-    Entries may run in parallel; output order always follows the
-    manifest, so parallel and serial runs serialize identically.
+    Entries may run in parallel, largest input file first; output order
+    always follows the manifest, so parallel and serial runs serialize
+    identically.
     """
     _validate_config(config)
     if jobs < 1:
@@ -404,8 +413,12 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
         import scipy.sparse.linalg  # noqa: F401
         import scipy.special  # noqa: F401
 
+        # largest input first, so that the slowest entry does not start
+        # last; an unreadable file sorts as empty and its worker reports it
+        order = sorted(range(len(tasks)), key=lambda i: -_file_size(entries[i].path))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_corpus_worker, tasks))
+            done = dict(zip(order, pool.map(_corpus_worker, [tasks[i] for i in order])))
+        outcomes = [done[i] for i in range(len(tasks))]
     reports = []
     rows = []
     failures = 0

@@ -9,7 +9,7 @@ when a directed graph comes in.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 
@@ -89,24 +89,19 @@ def assortativity(g: CallGraph, mode: str) -> AssortativityResult:
     if g.m < 1:
         raise InputError("assortativity needs at least one edge")
     if mode == "in_in":
-        deg = [len(s) for s in g.in_adj]
+        deg = g.in_degrees
     elif mode == "out_out":
-        deg = [len(s) for s in g.out_adj]
+        deg = g.out_degrees
     else:
-        deg = [len(s) for s in g.undirected.out_adj]
-    prod_terms = []
-    half_sum_terms = []
-    half_sq_terms = []
-    count = 0
-    for u, v in g.edges():
-        j, k = deg[u], deg[v]
-        prod_terms.append(j * k)
-        half_sum_terms.append((j + k) / 2)
-        half_sq_terms.append((j * j + k * k) / 2)
-        count += 1
-    m1 = fsum(prod_terms) / count
-    m2 = fsum(half_sum_terms) / count
-    m3 = fsum(half_sq_terms) / count
+        deg = g.undirected.out_degrees
+    u, v = g.edge_arrays()
+    j, k = deg[u], deg[v]
+    count = len(u)
+    # sums over Python ints: exact at any size, rounded once as fsum
+    # rounded the terms
+    m1 = float(sum((j * k).tolist())) / count
+    m2 = (sum((j + k).tolist()) / 2) / count
+    m3 = (sum((j * j + k * k).tolist()) / 2) / count
     numerator = m1 - m2 * m2
     denominator = m3 - m2 * m2
     if denominator == 0.0:
@@ -121,9 +116,10 @@ def scale_free_metric(g: CallGraph) -> ScaleFreeResult:
     h = g.undirected
     if h.m < 1:
         raise InputError("scale-free metric needs at least one edge")
-    deg = [len(s) for s in h.out_adj]
-    s = sum(deg[u] * deg[v] for u, v in h.edges())
-    s_max = sum(d**3 for d in deg) // 2
+    deg = h.out_degrees
+    u, v = h.edge_arrays()
+    s = sum((deg[u] * deg[v]).tolist())
+    s_max = sum(d**3 for d in deg.tolist()) // 2
     return ScaleFreeResult(s=float(s), s_max=float(s_max), S=s / s_max)
 
 
@@ -134,38 +130,50 @@ def clustering(g: CallGraph) -> ClusteringResult:
     excluded from the global and by-degree means.
     """
     h = g.undirected
-    neighbour_sets = [set(row) for row in h.out_adj]
-    per_node: list[float | None] = []
-    by_degree_values: dict[int, list[float]] = {}
-    defined: list[float] = []
-    for v, row in enumerate(h.out_adj):
-        k = len(row)
-        if k < 2:
-            per_node.append(None)
-            continue
-        nv = neighbour_sets[v]
-        links = sum(len(neighbour_sets[u] & nv) for u in row) // 2
-        c = links / (k * (k - 1) // 2)
-        per_node.append(c)
-        defined.append(c)
-        by_degree_values.setdefault(k, []).append(c)
-    if not defined:
+    k = h.out_degrees
+    pairs = k * (k - 1) // 2
+    c = np.divide(_triangles(h), pairs, out=np.zeros(h.n), where=k >= 2)
+    per_node = tuple(
+        ci if ki >= 2 else None for ci, ki in zip(c.tolist(), k.tolist())
+    )
+    defined = np.flatnonzero(k >= 2)
+    if defined.size == 0:
         return ClusteringResult(
-            per_node=tuple(per_node),
+            per_node=per_node,
             global_c=None,
             by_degree={},
             defined_count=0,
             reason="no node with degree >= 2",
         )
-    by_degree = {
-        k: fsum(vals) / len(vals) for k, vals in sorted(by_degree_values.items())
-    }
+    c, k = c[defined], k[defined]
     return ClusteringResult(
-        per_node=tuple(per_node),
-        global_c=fsum(defined) / len(defined),
-        by_degree=by_degree,
-        defined_count=len(defined),
+        per_node=per_node,
+        global_c=fsum(c) / defined.size,
+        by_degree={
+            int(kk): fsum(c[k == kk]) / np.count_nonzero(k == kk) for kk in np.unique(k)
+        },
+        defined_count=int(defined.size),
     )
+
+
+def _triangles(h: CallGraph) -> np.ndarray:
+    """Triangles through each node of a symmetric graph: half the row
+    sums of (A·A)∘A, over row blocks whose product fits the batch budget
+    (row v of A·A has at most the summed degree of v's neighbours)."""
+    a = h.adjacency
+    indptr, indices = h.csr
+    reach = np.concatenate(([0], np.cumsum(h.out_degrees[indices])))
+    ends = np.cumsum(reach[indptr[1:]] - reach[indptr[:-1]])
+    tri = np.empty(h.n)
+    start = 0
+    while start < h.n:
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + paths._BATCH_CELLS, side="right"))
+        stop = max(stop, start + 1)
+        rows = a[start:stop]
+        tri[start:stop] = (rows @ a).multiply(rows).sum(axis=1).A1 / 2
+        start = stop
+    return tri
 
 
 def clustering_by_degree_fit(res: ClusteringResult) -> DegreeClusteringFit:
@@ -194,39 +202,15 @@ def neighbour_pair_distances(g: CallGraph, node: int) -> Counter:
     """Distances between neighbours of ``node`` measured with the node
     removed, as a Counter {distance: pair count}; disconnected pairs
     land under the DISCONNECTED (infinity) key."""
+    from scipy.sparse.csgraph import shortest_path
+
     h = g.undirected
-    row = h.out_adj[node]
-    counts: Counter = Counter()
-    for idx, j in enumerate(row):
-        targets = row[idx + 1 :]
-        if not targets:
-            break
-        dist = _bfs_distances_excluding(h, j, node, targets)
-        for t in targets:
-            d = dist.get(t)
-            counts[d if d is not None else DISCONNECTED] += 1
-    return counts
-
-
-def _bfs_distances_excluding(
-    h: CallGraph, source: int, banned: int, targets
-) -> dict[int, int]:
-    """BFS distances from source in G(V minus banned), stopping early
-    once every target has been reached."""
-    remaining = set(targets)
-    remaining.discard(source)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue and remaining:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in h.out_adj[v]:
-            if w == banned or w in dist:
-                continue
-            dist[w] = dv + 1
-            remaining.discard(w)
-            queue.append(w)
-    return dist
+    row = h.indices[h.indptr[node] : h.indptr[node + 1]]
+    row = row - (row > node)  # ids once the node is cut out
+    keep = np.arange(h.n) != node
+    dist = shortest_path(h.adjacency[keep][:, keep], unweighted=True, indices=row)
+    pairs = dist[:, row][np.triu_indices(len(row), 1)].tolist()
+    return Counter(DISCONNECTED if math.isinf(d) else int(d) for d in pairs)
 
 
 def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
@@ -399,7 +383,9 @@ def reciprocity(g: CallGraph) -> ReciprocityResult:
         raise InputError("reciprocity requires a directed graph")
     if g.m < 1 or g.n < 2:
         raise InputError("reciprocity needs n >= 2 and m >= 1")
-    reciprocal = sum(1 for u, v in g.edges() if g.has_edge(v, u))
+    tails, heads = g.arcs()
+    arcs = tails * g.n + heads
+    reciprocal = int(np.isin(heads * g.n + tails, arcs).sum())
     varrho = reciprocal / g.m
     a_bar = g.m / (g.n * (g.n - 1))
     if a_bar == 1.0:

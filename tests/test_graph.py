@@ -2,18 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgtopo import (
     CallGraph,
     InputError,
     ParseError,
+    SisParams,
     largest_wcc,
     load_dot_subset,
     load_edge_list,
     symmetrize,
+    threshold_sweep,
     to_edge_list,
     weak_components,
 )
+from cgtopo.fixtures import permutation_core_graph
+from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
+
+
 def test_ids_follow_first_appearance():
     g = load_edge_list("b a\na c\n")
     assert g.names == ("b", "a", "c")
@@ -198,3 +206,159 @@ def test_edges_iterates_every_arc_once():
     g = load_edge_list("a b\nb c\nc a\n")
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 0)]
     assert g.m == 3
+
+
+def test_ids_follow_first_appearance_then_extra_nodes():
+    g = CallGraph.from_name_pairs(
+        [("b", "a"), ("c", "b"), ("a", "d")], extra_nodes=["z", "a", "y", "z"]
+    )
+    assert g.names == ("b", "a", "c", "d", "z", "y")
+    assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 0)]
+    assert not g.out_adj[4] and not g.in_adj[5]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_drop_counts_match_a_set_based_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 12
+    pairs = [tuple(p) for p in rng.integers(0, n, size=(300, 2)).tolist()]
+    pairs += [(3, 3)] * 4 + [(1, 2)] * 5
+    proper = [p for p in pairs if p[0] != p[1]]
+    g = CallGraph.from_id_pairs(n, pairs)
+    assert set(g.edges()) == set(proper) and g.m == len(set(proper))
+    assert g.dropped_self_loops == len(pairs) - len(proper)
+    assert g.dropped_duplicates == len(proper) - len(set(proper))
+    text = "".join(f"f{u} f{v}\n" for u, v in pairs)
+    loaded = load_edge_list(text)
+    ids = {name: i for i, name in enumerate(loaded.names)}
+    want = {(ids[f"f{u}"], ids[f"f{v}"]) for u, v in proper}
+    assert set(loaded.edges()) == want
+    assert (loaded.dropped_self_loops, loaded.dropped_duplicates) == (
+        g.dropped_self_loops,
+        g.dropped_duplicates,
+    )
+
+
+@pytest.mark.parametrize("bad", ["e", "e f g"])
+def test_parse_error_line_counts_skipped_lines(bad):
+    text = "a b\r\n\r\n \t \n# c d e\r\n#\nc d\r\n" + bad + "\nx y\n"
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(text)
+    assert exc.value.line == 7
+    assert f"got {len(bad.split())} tokens" in str(exc.value)
+
+
+def test_hash_starts_a_comment_only_at_column_zero():
+    g = load_edge_list("#a b\na #b\n #c d\n")
+    assert g.names == ("a", "#b", "#c", "d")
+    assert sorted(g.edges()) == [(0, 1), (2, 3)]
+
+
+def test_out_of_range_error_names_the_first_bad_pair():
+    with pytest.raises(InputError, match=r"edge \(5, 0\) out of range for n=3"):
+        CallGraph.from_id_pairs(3, [(0, 1), (5, 0), (0, -1)])
+    with pytest.raises(InputError, match=r"edge \(1, -2\) out of range"):
+        CallGraph.from_id_pairs(3, ((u, v) for u, v in [(0, 1), (1, -2), (7, 7)]))
+
+
+def test_generator_input_is_accepted():
+    g = CallGraph.from_id_pairs(3, ((i, (i + 1) % 3) for i in range(3)))
+    assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 0)]
+    assert g.in_adj == ((2,), (0,), (1,))
+
+
+def _reference_edge_list(g):
+    """The serializer's ordering spelt out over the tuple views."""
+    incident = [set(g.out_adj[i]) | set(g.in_adj[i]) for i in range(g.n)]
+    introduced = [False] * g.n
+    lines, emitted = [], set()
+
+    def emit(u, v):
+        emitted.add((u, v))
+        introduced[u] = introduced[v] = True
+        lines.append(f"{g.names[u]} {g.names[v]}")
+
+    for t in range(g.n):
+        if introduced[t] or not incident[t]:
+            continue
+        earlier = [u for u in incident[t] if u < t and introduced[u]]
+        if earlier:
+            u = min(earlier)
+            emit(*((u, t) if g.has_edge(u, t) else (t, u)))
+        elif t + 1 < g.n and g.has_edge(t, t + 1):
+            emit(t, t + 1)
+        else:
+            u = min(incident[t])
+            emit(*((t, u) if g.has_edge(t, u) else (u, t)))
+    lines += [f"{g.names[u]} {g.names[v]}" for u, v in sorted(g.edges()) if (u, v) not in emitted]
+    return "\n".join(lines) + "\n"
+
+
+# names without whitespace; a leading '#' would make a comment line
+_NAMES = st.text("ab_:<>#", min_size=1, max_size=3).filter(lambda s: s[0] != "#")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_NAMES, _NAMES).filter(lambda p: p[0] != p[1]), min_size=1, max_size=60
+    )
+)
+def test_edge_list_round_trip(pairs):
+    g = load_edge_list("".join(f"{a} {b}\n" for a, b in pairs))
+    assert g.names == tuple(dict.fromkeys(name for pair in pairs for name in pair))
+    assert g.dropped_duplicates == len(pairs) - len(set(pairs))
+    text = to_edge_list(g)
+    assert text == _reference_edge_list(g)
+    again = load_edge_list(text)
+    assert again.names == g.names
+    assert list(again.edges()) == list(g.edges())
+    assert (again.dropped_self_loops, again.dropped_duplicates) == (0, 0)
+    assert to_edge_list(again) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 20).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+        )
+    )
+)
+def test_edge_list_text_matches_reference_for_any_ids(case):
+    n, pairs = case
+    g = CallGraph.from_id_pairs(n, pairs)
+    assert to_edge_list(g, drop_isolated=True) == _reference_edge_list(g)
+    assert to_edge_list(g.undirected, drop_isolated=True) == _reference_edge_list(
+        g.undirected
+    )
+
+
+def _forbid_tuple_views(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("a tuple view was built")
+
+    for name in ("out_adj", "in_adj"):
+        monkeypatch.setattr(CallGraph, name, property(forbidden))
+
+
+def test_load_and_sweep_build_no_tuple_views(monkeypatch):
+    text = to_edge_list(permutation_core_graph(20165, 70010, 11))
+    _forbid_tuple_views(monkeypatch)
+    g = load_edge_list(text)
+    base = SisParams(beta=0.0, delta=0.5, initial_infected=3, max_steps=5, seed=1)
+    threshold_sweep(g, (0.1, 0.4), 2, base)
+    for graph in (g, g.undirected):
+        assert "out_adj" not in vars(graph) and "in_adj" not in vars(graph)
+
+
+def test_analyze_graph_builds_no_tuple_views(monkeypatch):
+    # two weak components, so the metrics run on a fresh induced subgraph
+    g = load_edge_list("a b\nb c\nc a\na d\nd b\nx y\n")
+    _forbid_tuple_views(monkeypatch)
+    config = AnalysisConfig(metrics=METRICS, d_max=3)
+    report, _, failures = analyze_graph(g, config, "small")
+    assert not failures and report["graph"]["wcc_n"] == 4
+    for graph in (g, g.undirected):
+        assert "out_adj" not in vars(graph) and "in_adj" not in vars(graph)

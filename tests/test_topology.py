@@ -31,7 +31,7 @@ from cgtopo.fixtures import (
 from cgtopo import paths, topology
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph
-from cgtopo.topology import DISCONNECTED, ClusteringProfile
+from cgtopo.topology import DISCONNECTED, ClusteringProfile, ScaleFreeResult
 
 
 def test_scale_free_closed_forms():
@@ -336,3 +336,65 @@ def test_profile_row_batches(monkeypatch, rows):
         for cells in (1, 512, paths._BATCH_CELLS):
             monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
             assert clustering_profile(g, d_max) == want
+
+
+_LARGE = [
+    generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=4)),
+    generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=600, gamma=2.5, seed=5)),
+    generate_random(RandomGraphSpec(model=GNM, n=1500, m=9000, seed=6)),
+    generate_random(RandomGraphSpec(model=GNM, n=300, m=3000, seed=7)),
+]
+
+
+@pytest.mark.parametrize("g", _LARGE)
+def test_clustering_matches_networkx_on_large_graphs(g):
+    nx = pytest.importorskip("networkx")
+    ug = nx.Graph()
+    ug.add_nodes_from(range(g.n))
+    ug.add_edges_from(g.undirected.edges())
+    want = nx.clustering(ug)
+    res = clustering(g)
+    defined = [v for v in range(g.n) if ug.degree(v) >= 2]
+    assert res.defined_count == len(defined)
+    for v in range(g.n):
+        assert res.per_node[v] == (want[v] if v in ug and ug.degree(v) >= 2 else None)
+    assert math.isclose(
+        res.global_c, fsum(want[v] for v in defined) / len(defined), rel_tol=1e-12
+    )
+
+
+def test_clustering_row_blocks(monkeypatch):
+    g = _LARGE[1]
+    want = clustering(g)
+    for cells in (1, 700):
+        monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+        assert clustering(g) == want
+
+
+@pytest.mark.parametrize("g", _LARGE)
+@pytest.mark.parametrize("mode", ["in_in", "out_out", "total"])
+def test_assortativity_matches_corrcoef_on_large_graphs(g, mode):
+    deg = {
+        "in_in": np.bincount([v for _, v in g.edges()], minlength=g.n),
+        "out_out": np.bincount([u for u, _ in g.edges()], minlength=g.n),
+        "total": np.array([len(row) for row in g.undirected.out_adj]),
+    }[mode]
+    arcs = np.array(list(g.edges()))
+    x = np.concatenate((deg[arcs[:, 0]], deg[arcs[:, 1]]))
+    y = np.concatenate((deg[arcs[:, 1]], deg[arcs[:, 0]]))
+    want = np.corrcoef(x, y)[0, 1]
+    assert math.isclose(assortativity(g, mode).rho, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("g", _LARGE)
+def test_reciprocity_and_scale_free_match_set_counts(g):
+    arcs = set(g.edges())
+    res = reciprocity(g)
+    assert res.varrho == sum((v, u) in arcs for u, v in arcs) / len(arcs)
+    assert res.a_bar == len(arcs) / (g.n * (g.n - 1))
+    edges = {(min(u, v), max(u, v)) for u, v in arcs}
+    deg = Counter(x for e in edges for x in e)
+    s = sum(deg[u] * deg[v] for u, v in edges)
+    s_max = sum(d**3 for d in deg.values()) // 2
+    assert scale_free_metric(g) == ScaleFreeResult(s=float(s), s_max=float(s_max), S=s / s_max)
+
