@@ -111,15 +111,83 @@ def _power_law_loglik(gamma: float, log_sum: float, n_tail: int, x_min: int) -> 
 
 
 def _mle_gamma(log_sum: float, n_tail: int, x_min: int) -> float:
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda t: -_power_law_loglik(t, log_sum, n_tail, x_min),
-        bounds=_GAMMA_BOUNDS,
-        method="bounded",
-        options={"xatol": 1e-9},
+    return _minimize_bounded(
+        lambda t: -_power_law_loglik(t, log_sum, n_tail, x_min), _GAMMA_BOUNDS
     )
-    return float(res.x)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(f, bounds, xatol: float = 1e-9, maxfun: int = 500) -> float:
+    """Brent's bounded minimizer (Brent 1973, ch. 5): golden-section
+    steps with parabolic interpolation, stopping when the bracket is
+    within tol2 of the best point or after ``maxfun`` evaluations.
+
+    A step-for-step port of scipy's ``minimize_scalar(method="bounded")``
+    (its ``_minimize_scalar_bounded``): every comparison and float
+    operation matches, so the returned abscissa is bit-identical, and
+    scipy's optimize package, about 14 MiB once imported, stays unloaded.
+    """
+    a, b = bounds
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc, fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        # a step of at least tol1; rat == 0 steps upward, as np.sign + 1 does
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return float(xf)
 
 
 def _ks_distance(

@@ -218,7 +218,7 @@ def sis_simulate(g: CallGraph, params: SisParams) -> SisTrace:
         infected_per_step=tuple(counts),
         outcome=outcome,
         extinct_step=extinct_step,
-        final_infected=tuple(int(i) for i in np.flatnonzero(infected)),
+        final_infected=tuple(np.flatnonzero(infected).tolist()),
     )
 
 

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import load_entry, read_manifest
-from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
+from .generators import (
+    ERASED_CONFIG,
+    GNM,
+    RandomGraphSpec,
+    generate_random,
+    top_up_codes,
+)
 from .graph import CallGraph, InputError, load_edge_list, to_edge_list
 
 
@@ -87,21 +93,15 @@ def permutation_core_graph(n: int, m: int, seed: int) -> CallGraph:
     if m > n * (n - 1):
         raise InputError(f"m={m} exceeds n(n-1)")
     rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(n)
-    pairs = [(int(perm[i]), int(perm[(i + 1) % n])) for i in range(n)]
-    chosen = set(pairs)
-    while len(chosen) < m:
-        batch = rng.integers(0, n, size=(2 * (m - len(chosen)) + 16, 2))
-        for u, v in batch:
-            if u == v:
-                continue
-            edge = (int(u), int(v))
-            if edge not in chosen:
-                chosen.add(edge)
-                pairs.append(edge)
-                if len(chosen) == m:
-                    break
-    return CallGraph.from_id_pairs(n, pairs)
+    perm = rng.permutation(n).astype(np.int64)
+    cycle = perm * n + np.roll(perm, -1)
+
+    def draw(k):
+        u, v = rng.integers(0, n, size=(2 * k + 16, 2)).T
+        return (u * n + v)[u != v]
+
+    codes = top_up_codes(cycle, m, draw)
+    return CallGraph.from_id_pairs(n, np.column_stack((codes // n, codes % n)))
 
 
 _DEMO_SPECS = [

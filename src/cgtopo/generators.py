@@ -77,40 +77,54 @@ def sample_power_law(
     return out.astype(np.int64)
 
 
-def _gnm_edges(n: int, m: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+def top_up_codes(codes: np.ndarray, m: int, draw) -> np.ndarray:
+    """Extend the distinct int64 ``codes`` to ``m`` distinct codes.
+
+    While short by k, ``draw(k)`` gives a batch of candidate codes; the
+    batch's first occurrences of codes not yet held are appended in
+    draw order, up to m, and the rest of the batch is discarded.  This
+    keeps exactly the codes that a loop adding each drawn code to a set
+    until it held m would keep.
+    """
+    parts, have, held = [codes], codes.size, np.sort(codes)
+    while have < m:
+        batch = draw(m - have)
+        _, first = np.unique(batch, return_index=True)
+        batch = batch[np.sort(first)]
+        fresh = batch[~np.isin(batch, held, assume_unique=True)][: m - have]
+        parts.append(fresh)
+        have += fresh.size
+        held = np.sort(np.concatenate((held, fresh)))
+    return np.concatenate(parts)
+
+
+def _gnm_edges(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     # ordered non-self pairs are coded 0 .. n(n-1)-1
     total = n * (n - 1)
     if m * 3 >= total:
         codes = rng.permutation(total)[:m]
     else:
-        chosen: set[int] = set()
-        codes_list: list[int] = []
-        while len(codes_list) < m:
-            batch = rng.integers(0, total, size=max(64, 2 * (m - len(codes_list))))
-            for code in batch:
-                c = int(code)
-                if c not in chosen:
-                    chosen.add(c)
-                    codes_list.append(c)
-                    if len(codes_list) == m:
-                        break
-        codes = np.array(codes_list, dtype=np.int64)
+        codes = top_up_codes(
+            np.empty(0, dtype=np.int64),
+            m,
+            lambda k: rng.integers(0, total, size=max(64, 2 * k)),
+        )
     u = codes // (n - 1)
     r = codes % (n - 1)
     v = r + (r >= u)
-    return list(zip(u.tolist(), v.tolist()))
+    return np.column_stack((u, v))
 
 
 def _erased_configuration_edges(
     n: int, gamma: float, rng: np.random.Generator
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     indeg = sample_power_law(gamma, n, rng)
     total = int(indeg.sum())
     outdeg = rng.multinomial(total, np.full(n, 1.0 / n))
     out_stubs = np.repeat(np.arange(n), outdeg)
     in_stubs = np.repeat(np.arange(n), indeg)
     rng.shuffle(in_stubs)
-    return list(zip(out_stubs.tolist(), in_stubs.tolist()))
+    return np.column_stack((out_stubs, in_stubs))
 
 
 def generate_random(spec: RandomGraphSpec) -> CallGraph:

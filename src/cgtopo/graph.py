@@ -156,8 +156,18 @@ class CallGraph:
 
     @classmethod
     def from_id_pairs(cls, n: int, pairs, names=None) -> "CallGraph":
-        """Build from integer id pairs on nodes 0..n-1, canonicalizing."""
-        ends = np.array([(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+        """Build from integer id pairs on nodes 0..n-1, canonicalizing.
+
+        ``pairs`` is an ``(m, 2)`` integer array or any iterable of
+        ``(u, v)`` pairs.
+        """
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        ends = np.asarray(pairs, dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise InputError(f"expected (u, v) pairs, got shape {ends.shape}")
         bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
         if bad.size:
             u, v = ends[bad[0]].tolist()

@@ -408,7 +408,6 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     else:
         # the metrics import scipy where they call it; importing it here,
         # before the fork, lets the workers share one copy
-        import scipy.optimize  # noqa: F401
         import scipy.sparse.csgraph  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
         import scipy.special  # noqa: F401

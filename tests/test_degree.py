@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from cgtopo import (
+    CallGraphError,
     DegenerateSampleError,
     DegreeSequence,
     InputError,
@@ -18,7 +21,12 @@ from cgtopo import (
     fit_power_law,
     load_edge_list,
     sample_power_law,
+    spectral_radius,
+    weak_components,
 )
+from cgtopo.degree import _GAMMA_BOUNDS, _minimize_bounded, _mle_gamma, _power_law_loglik
+from cgtopo.graph import CallGraph
+from cgtopo.topology import ASSORTATIVITY_MODES, assortativity, clustering, reciprocity
 
 
 def test_degree_sequence_directed_chain():
@@ -84,6 +92,66 @@ def test_power_law_mle_matches_grid_search_oracle():
     liks = [-g * log_sum - n * math.log(zeta(g, 1)) for g in grid]
     best = grid[int(np.argmax(liks))]
     assert abs(fit.gamma - best) < 2e-3
+
+
+def _scipy_gamma(log_sum, n_tail, x_min, maxfun=500):
+    """The MLE as scipy's bounded Brent finds it: the port's oracle."""
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(
+        lambda t: -_power_law_loglik(t, log_sum, n_tail, x_min),
+        bounds=_GAMMA_BOUNDS,
+        method="bounded",
+        options={"xatol": 1e-9, "maxiter": maxfun},
+    )
+    return float(res.x), int(res.status)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5000),
+    st.integers(2, 200_000),
+    st.floats(1e-9, 20.0),
+)
+def test_mle_port_is_bit_identical_to_scipy(x_min, n_tail, mean_excess_log):
+    # every tail value is >= x_min, so the mean log is at least log(x_min)
+    log_sum = n_tail * (math.log(x_min) + mean_excess_log)
+    assert _mle_gamma(log_sum, n_tail, x_min) == _scipy_gamma(log_sum, n_tail, x_min)[0]
+
+
+@pytest.mark.parametrize(
+    "log_sum, n_tail, x_min, bound",
+    [
+        # every value equal to x_min: the likelihood rises without limit in gamma
+        (10 * math.log(1000), 10, 1000, _GAMMA_BOUNDS[1]),
+        (50 * math.log(5), 50, 5, _GAMMA_BOUNDS[1]),
+        # a mean log far above any finite gamma's: the optimum is gamma -> 1
+        (1e12, 10, 1, _GAMMA_BOUNDS[0]),
+        (1e13, 1000, 3, _GAMMA_BOUNDS[0]),
+    ],
+)
+def test_mle_port_optimum_at_a_bound(log_sum, n_tail, x_min, bound):
+    gamma = _mle_gamma(log_sum, n_tail, x_min)
+    want, status = _scipy_gamma(log_sum, n_tail, x_min)
+    assert gamma == want
+    assert status == 0
+    assert abs(gamma - bound) < 2e-6
+
+
+@pytest.mark.parametrize("maxfun", [1, 2, 5, 9])
+def test_mle_port_stops_at_maxfun_like_scipy(maxfun):
+    log_sum, n_tail, x_min = 1234.5, 300, 2
+    want, status = _scipy_gamma(log_sum, n_tail, x_min, maxfun)
+    assert status == 1  # scipy: maximum number of function calls reached
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return -_power_law_loglik(t, log_sum, n_tail, x_min)
+
+    assert _minimize_bounded(f, _GAMMA_BOUNDS, maxfun=maxfun) == want
+    # the limit is checked after the first step, as in scipy
+    assert len(calls) == max(maxfun, 2)
 
 
 def test_power_law_pinned_x_min_skips_scan():
@@ -191,3 +259,52 @@ def test_sampler_respects_x_min():
     rng = np.random.Generator(np.random.PCG64(4))
     xs = sample_power_law(3.0, 10_000, rng, x_min=4)
     assert int(xs.min()) >= 4
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the cgtopo error it raised."""
+    try:
+        return fn(*args)
+    except CallGraphError as exc:
+        return type(exc)
+
+
+@st.composite
+def _relabelled(draw):
+    n = draw(st.integers(2, 30))
+    arcs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=90
+        )
+    )
+    perm = draw(st.permutations(range(n)))
+    g = CallGraph.from_id_pairs(n, arcs)
+    h = CallGraph.from_id_pairs(n, [(perm[u], perm[v]) for u, v in arcs])
+    return g, h, perm
+
+
+@settings(max_examples=120, deadline=None)
+@given(_relabelled())
+def test_graph_metrics_invariant_under_relabelling(case):
+    g, h, perm = case
+    for mode in ("in", "out", "total"):
+        assert _outcome(fit_power_law, degree_sequence(g, mode)) == _outcome(
+            fit_power_law, degree_sequence(h, mode)
+        )
+    for mode in ASSORTATIVITY_MODES:
+        assert _outcome(assortativity, g, mode) == _outcome(assortativity, h, mode)
+    assert _outcome(reciprocity, g) == _outcome(reciprocity, h)
+    cg, ch = clustering(g), clustering(h)
+    assert (cg.global_c, cg.by_degree, cg.defined_count, cg.reason) == (
+        ch.global_c, ch.by_degree, ch.defined_count, ch.reason
+    )
+    assert all(cg.per_node[v] == ch.per_node[perm[v]] for v in range(g.n))
+    sizes = [len(c) for c in weak_components(g)] + [0]
+    if sizes[0] == sizes[1]:
+        return  # λ1 reads the tied component with the smallest member id
+    lg, lh = _outcome(spectral_radius, g), _outcome(spectral_radius, h)
+    if isinstance(lg, type) or isinstance(lh, type):
+        assert lg == lh
+    else:
+        # the Lanczos start vector meets the nodes in another order
+        assert math.isclose(lg.lambda1, lh.lambda1, rel_tol=1e-9)

@@ -2,7 +2,10 @@
 
 scipy is imported inside the functions that call it, so the SIS commands
 run on numpy alone, while the corpus pool still imports it once, before
-it forks, and its workers share that copy.
+it forks, and its workers share that copy.  No command imports
+scipy.optimize: the degree fit runs its own port of the bounded Brent
+minimizer, and the analysis commands load only scipy.sparse.csgraph,
+scipy.sparse.linalg and scipy.special.
 """
 
 import json
@@ -76,7 +79,11 @@ def test_cli_import_loads_every_module():
     assert {f"cgtopo.{m}" for m in modules} <= loaded
 
 
-def test_corpus_workers_import_nothing_new(tmp_path):
+_CORPUS = ("gnm", "erased", "star")
+
+
+def _write_corpus(dest: Path) -> Path:
+    """Three small graphs and their manifest; returns the manifest path."""
     graphs = {
         "gnm": generate_random(RandomGraphSpec(model=GNM, n=80, m=240, seed=1)),
         "erased": generate_random(
@@ -87,10 +94,42 @@ def test_corpus_workers_import_nothing_new(tmp_path):
     rows = []
     for label, g in graphs.items():
         text = to_edge_list(g, drop_isolated=True)
-        (tmp_path / f"{label}.edges").write_text(text, encoding="utf-8")
+        (dest / f"{label}.edges").write_text(text, encoding="utf-8")
         rows.append(f"{label}\tC\tx\t{label}.edges")
-    manifest = tmp_path / "manifest.tsv"
+    manifest = dest / "manifest.tsv"
     manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return manifest
+
+
+def test_analysis_commands_import_no_scipy_optimize(tmp_path):
+    manifest = _write_corpus(tmp_path)
+    out = _run(
+        """
+        import json, sys
+        from cgtopo.cli import main
+        manifest, graph, out = sys.argv[1:]
+        codes = [
+            main(["analyze", graph, "--metrics", "all", "--out", out + "/a"]),
+            main(["corpus", manifest, "--jobs", "1", "--out", out + "/c1"]),
+            main(["corpus", manifest, "--jobs", "2", "--out", out + "/c2"]),
+            main(["baseline", graph, "--replicates", "3", "--out", out + "/b"]),
+        ]
+        scipy = sorted(m for m in sys.modules if m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """,
+        manifest,
+        tmp_path / "erased.edges",
+        tmp_path / "out",
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    loaded = result["scipy"]
+    assert {"scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.special"} <= set(loaded)
+    assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+
+
+def test_corpus_workers_import_nothing_new(tmp_path):
+    manifest = _write_corpus(tmp_path)
     probes = tmp_path / "probes"
     probes.mkdir()
     out = _run(
@@ -129,4 +168,4 @@ def test_corpus_workers_import_nothing_new(tmp_path):
         pid, label = path.stem.split("-", 1)
         assert int(pid) != result["parent"]
         seen[label] = json.loads(path.read_text(encoding="utf-8"))
-    assert seen == {label: [] for label in graphs}
+    assert seen == {label: [] for label in _CORPUS}
