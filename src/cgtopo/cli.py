@@ -183,13 +183,23 @@ def _check_flags(check, *args) -> None:
 
 
 def _run_analyze(args) -> int:
+    """analyze, and baseline: analyze plus the random-ensemble section."""
     config = _config(args, METRICS)
+    if args.output == "csv" and args.out is None:
+        raise ConfigError("--output csv needs --out <dir> for the bundle")
+    baseline = args.command == "baseline"
+    if baseline:
+        seed = _seed(args)
+        if args.replicates < 2:
+            raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
+        validate_model(args.model, args.gamma)
     g = load_graph(args.path, args.format)
     report, extras, failures = analyze_graph(g, config, label=args.path)
+    if baseline:
+        spec = RandomGraphSpec(args.model, n=g.n, m=g.m, gamma=args.gamma, seed=seed)
+        report["baseline"] = compare_baseline(report, spec, args.replicates)
     _emit(to_json(report), args.out, "report.json")
     if args.output == "csv":
-        if args.out is None:
-            raise ConfigError("--output csv needs --out <dir> for the bundle")
         write_csv_bundle(report, extras, args.out)
     if failures and args.strict:
         print(f"failed metrics: {', '.join(failures)}", file=sys.stderr)
@@ -211,39 +221,21 @@ def _run_corpus(args) -> int:
     return EXIT_OK
 
 
-def _run_baseline(args) -> int:
-    config = _config(args, METRICS)
-    seed = _seed(args)
-    if args.replicates < 2:
-        raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
-    validate_model(args.model, args.gamma)
-    g = load_graph(args.path, args.format)
-    report, extras, failures = analyze_graph(g, config, label=args.path)
-    spec = RandomGraphSpec(
-        model=args.model,
-        n=report["graph"]["n"],
-        m=report["graph"]["m"],
-        gamma=args.gamma,
-        seed=seed,
-    )
-    report["baseline"] = compare_baseline(report, spec, args.replicates)
-    _emit(to_json(report), args.out, "report.json")
-    if args.output == "csv":
-        if args.out is None:
-            raise ConfigError("--output csv needs --out <dir> for the bundle")
-        write_csv_bundle(report, extras, args.out)
-    return EXIT_PARTIAL if (failures and args.strict) else EXIT_OK
-
-
-def _run_simulate(args) -> int:
+def _sis_params(args, beta: float) -> SisParams:
+    """The SIS parameters of simulate and sweep, checked before loading."""
     params = SisParams(
-        beta=args.beta,
+        beta=beta,
         delta=args.delta,
         initial_infected=_initial(args),
         max_steps=args.steps,
         seed=_seed(args),
     )
     _check_flags(validate_params, params)
+    return params
+
+
+def _run_simulate(args) -> int:
+    params = _sis_params(args, args.beta)
     g = load_graph(args.path, args.format)
     trace = sis_simulate(g, params)
     if args.output == "csv":
@@ -268,14 +260,7 @@ def _run_simulate(args) -> int:
 
 def _run_sweep(args) -> int:
     ratios = _numbers(args.ratios, float, "--ratios")
-    base = SisParams(
-        beta=0.0,
-        delta=args.delta,
-        initial_infected=_initial(args),
-        max_steps=args.steps,
-        seed=_seed(args),
-    )
-    _check_flags(validate_params, base)
+    base = _sis_params(args, 0.0)
     _check_flags(sweep_betas, ratios, args.runs, args.delta)
     g = load_graph(args.path, args.format)
     sweep = threshold_sweep(g, ratios, args.runs, base)
@@ -303,7 +288,7 @@ def _run_sweep(args) -> int:
 _RUNNERS = {
     "analyze": _run_analyze,
     "corpus": _run_corpus,
-    "baseline": _run_baseline,
+    "baseline": _run_analyze,
     "simulate": _run_simulate,
     "sweep": _run_sweep,
 }

@@ -299,24 +299,14 @@ def _spearman(a, b) -> float:
     return cov / math.sqrt(va * vb)
 
 
-def lambda_vs_size(corpus_results) -> SizeSpectralTrend:
+def lambda_vs_size(size_lambda_pairs) -> SizeSpectralTrend:
     """(n, lambda1) pairs sorted by n, with their Spearman correlation.
 
-    Accepts (n, lambda1) tuples or report dicts; reports whose spectral
-    section was skipped are ignored.  Fewer than 2 usable pairs leave
-    the correlation undefined; zero variance on either side scores 0.
+    Takes (n, lambda1) pairs only, one per analyzed graph.  Fewer than
+    2 pairs leave the correlation undefined; zero variance on either
+    side scores 0.
     """
-    pairs = []
-    for item in corpus_results:
-        if isinstance(item, dict):
-            spectral = item.get("spectral") or {}
-            lam = spectral.get("lambda1")
-            if lam is None:
-                continue
-            pairs.append((int(item["graph"]["n"]), float(lam)))
-        else:
-            n, lam = item
-            pairs.append((int(n), float(lam)))
+    pairs = [(int(n), float(lam)) for n, lam in size_lambda_pairs]
     if not pairs:
         raise InputError("no analyzed graphs with a spectral result")
     pairs.sort()

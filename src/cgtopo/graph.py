@@ -331,8 +331,9 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
         raise InputError("edge-list format cannot represent isolated nodes")
     tails, heads = g.arcs()
     arcs = tails * n + heads
+    # isin operands are distinct: codes by construction, leads each add a new node
     ids = np.arange(n - 1, dtype=np.int64)
-    forward = np.isin(ids * n + ids + 1, arcs).tolist()
+    forward = np.isin(ids * n + ids + 1, arcs, assume_unique=True).tolist()
     # one leading edge per node, in id order, introducing the node: to
     # its smallest neighbour, already introduced when smaller; else to
     # t + 1 when t calls it, so the callee's id follows
@@ -350,10 +351,14 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
             lead.append((t, u))
             introduced[u] = True
     lo, hi = np.array(lead, dtype=np.int64).reshape(-1, 2).T
-    lead_codes = np.where(np.isin(lo * n + hi, arcs), lo * n + hi, hi * n + lo)
+    lead_codes = np.where(
+        np.isin(lo * n + hi, arcs, assume_unique=True), lo * n + hi, hi * n + lo
+    )
     u, v = g.edge_arrays()
     codes = u * n + v
-    codes = np.concatenate((lead_codes, codes[~np.isin(codes, lead_codes)]))
+    codes = np.concatenate(
+        (lead_codes, codes[~np.isin(codes, lead_codes, assume_unique=True)])
+    )
     names = g.names
     pairs = zip((codes // n).tolist(), (codes % n).tolist())
     return "\n".join(f"{names[a]} {names[b]}" for a, b in pairs) + "\n"

@@ -3,8 +3,9 @@
 A report is a JSON-native dict with a fixed top-level key set; every
 selected metric appears exactly once, either as a value object or as a
 {"skipped": reason} marker.  Undefined quantities inside a metric are
-tagged nulls (value null plus a reason string), never NaN.  Reports
-serialize deterministically: same input and config, same bytes.
+tagged nulls (value null plus a reason string), never NaN.  A section
+computed as a result dataclass holds exactly that dataclass's fields.
+Reports serialize deterministically: same input and config, same bytes.
 
 Metrics other than component statistics run on the largest weakly
 connected component; component statistics describe the full graph.
@@ -17,7 +18,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
 
@@ -54,29 +55,27 @@ CORPUS_DEFAULT_METRICS = (
     "spectral",
 )
 
-_SUMMARY_COLUMNS = (
-    "label",
-    "language",
-    "domain",
-    "error",
-    "n",
-    "m",
-    "avg_degree",
-    "gamma_in",
-    "gamma_out",
-    "lambda1",
-    "beta_c",
-    "S",
-    "global_c",
-    "assortativity_in_in",
-    "assortativity_out_out",
-    "assortativity_total",
-    "ell",
-    "wcc_count",
-    "scc_count",
-    "pct_scc",
-    "reciprocity_rho",
-)
+# corpus summary column -> key path of its value in the report
+_SUMMARY_PATHS = {
+    "n": ("graph", "n"),
+    "m": ("graph", "m"),
+    "avg_degree": ("degree", "in", "summary", "mean"),
+    "gamma_in": ("degree", "in", "power_law", "gamma"),
+    "gamma_out": ("degree", "out", "power_law", "gamma"),
+    "lambda1": ("spectral", "lambda1"),
+    "beta_c": ("spectral", "beta_c"),
+    "S": ("scale_free", "S"),
+    "global_c": ("clustering", "global_c"),
+    "assortativity_in_in": ("assortativity", "in_in", "rho"),
+    "assortativity_out_out": ("assortativity", "out_out", "rho"),
+    "assortativity_total": ("assortativity", "total", "rho"),
+    "ell": ("geodesic", "harmonic_mean_ell"),
+    "wcc_count": ("components", "wcc_count"),
+    "scc_count": ("components", "scc_count"),
+    "pct_scc": ("components", "largest_scc_fraction"),
+    "reciprocity_rho": ("reciprocity", "rho"),
+}
+_SUMMARY_COLUMNS = ("label", "language", "domain", "error", *_SUMMARY_PATHS)
 
 
 class ConfigError(CallGraphError):
@@ -113,6 +112,16 @@ def _validate_config(config: AnalysisConfig) -> None:
         raise ConfigError(f"--tolerance must be in (0, inf), got {config.tolerance}")
 
 
+def _attempt(compute, *args) -> tuple[object, dict]:
+    """(result, section): ``compute(*args)`` and its report section, the
+    result's fields for a dataclass; (None, a skip marker) if it raises."""
+    try:
+        result = compute(*args)
+    except CallGraphError as exc:
+        return None, {"skipped": str(exc)}
+    return result, asdict(result) if is_dataclass(result) else result
+
+
 def _degree_section(wcc: CallGraph, extras: dict) -> dict:
     section = {}
     for mode in ("in", "out"):
@@ -123,38 +132,17 @@ def _degree_section(wcc: CallGraph, extras: dict) -> dict:
             "zero_fraction": sum(1 for v in seq.values if v == 0) / seq.n,
         }
         extras[f"ccdf_{mode}"] = deg.empirical_ccdf(seq)
-        try:
-            pl = deg.fit_power_law(seq)
-            entry["power_law"] = {
-                "gamma": pl.gamma,
-                "x_min": pl.x_min,
-                "n_tail": pl.n_tail,
-                "log_likelihood": pl.log_likelihood,
-                "ks_stat": pl.ks_stat,
-            }
-        except CallGraphError as exc:
-            pl = None
-            entry["power_law"] = {"skipped": str(exc)}
+        pl, entry["power_law"] = _attempt(deg.fit_power_law, seq)
         if pl is None:
             entry["exponential"] = {"skipped": "no power-law tail to share"}
             entry["comparison"] = {"skipped": "no power-law tail to share"}
         else:
-            try:
-                ex = deg.fit_exponential(seq, pl.x_min)
-                entry["exponential"] = {
-                    "rate": ex.rate,
-                    "x_min": ex.x_min,
-                    "log_likelihood": ex.log_likelihood,
-                }
-                cmp = deg.compare_fits(pl, ex, seq)
-                entry["comparison"] = {
-                    "lr": cmp.lr,
-                    "normalized_lr": cmp.normalized_lr,
-                    "verdict": cmp.verdict,
-                }
-            except CallGraphError as exc:
-                entry["exponential"] = {"skipped": str(exc)}
-                entry["comparison"] = {"skipped": str(exc)}
+            ex, entry["exponential"] = _attempt(deg.fit_exponential, seq, pl.x_min)
+            entry["comparison"] = (
+                entry["exponential"]
+                if ex is None
+                else _attempt(deg.compare_fits, pl, ex, seq)[1]
+            )
         section[mode] = entry
     return section
 
@@ -169,23 +157,13 @@ def _assortativity_section(wcc: CallGraph) -> dict:
 
 def _clustering_section(wcc: CallGraph) -> dict:
     res = topology.clustering(wcc)
-    section = {
+    return {
         "global_c": res.global_c,
         "reason": res.reason,
         "defined_count": res.defined_count,
         "by_degree": {str(k): v for k, v in res.by_degree.items()},
+        "slope_fit": _attempt(topology.clustering_by_degree_fit, res)[1],
     }
-    try:
-        fit = topology.clustering_by_degree_fit(res)
-        section["slope_fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual_ss": fit.residual_ss,
-            "n_points": fit.n_points,
-        }
-    except CallGraphError as exc:
-        section["slope_fit"] = {"skipped": str(exc)}
-    return section
 
 
 def _profile_section(wcc: CallGraph, d_max: int) -> dict:
@@ -203,17 +181,6 @@ def _profile_section(wcc: CallGraph, d_max: int) -> dict:
     }
 
 
-def _geodesic_section(wcc: CallGraph, directed: bool) -> dict:
-    geo = paths.harmonic_geodesic_mean(wcc, directed=directed)
-    return {
-        "harmonic_mean_ell": geo.harmonic_mean_ell,
-        "reason": geo.reason,
-        "inverse_distance_sum": geo.inverse_distance_sum,
-        "reachable_pair_fraction": geo.reachable_pair_fraction,
-        "directed": geo.directed,
-    }
-
-
 def _betweenness_section(wcc: CallGraph, extras: dict) -> dict:
     res = paths.betweenness(wcc)
     dist = paths.betweenness_distribution(res)
@@ -228,37 +195,6 @@ def _betweenness_section(wcc: CallGraph, extras: dict) -> dict:
         "zero_fraction": dist.zero_count / n,
         "top": [[name, value] for name, value in ranked[:10]],
         "histogram": [[lo, hi, count] for lo, hi, count in dist.buckets],
-    }
-
-
-def _components_section(full: CallGraph) -> dict:
-    stats = paths.component_stats(full)
-    return {
-        "wcc_count": stats.wcc_count,
-        "scc_count": stats.scc_count,
-        "scc_nontrivial_count": stats.scc_nontrivial_count,
-        "largest_scc_fraction": stats.largest_scc_fraction,
-        "largest_wcc_size": stats.largest_wcc_size,
-    }
-
-
-def _reciprocity_section(wcc: CallGraph) -> dict:
-    res = topology.reciprocity(wcc)
-    return {
-        "varrho": res.varrho,
-        "a_bar": res.a_bar,
-        "rho": res.rho,
-        "reason": res.reason,
-    }
-
-
-def _spectral_section(wcc: CallGraph, tolerance: float) -> dict:
-    res = epidemic.spectral_radius(wcc, tolerance=tolerance)
-    return {
-        "lambda1": res.lambda1,
-        "beta_c": res.beta_c,
-        "iterations": res.iterations,
-        "residual": res.residual,
     }
 
 
@@ -303,23 +239,23 @@ def analyze_graph(
     runners = {
         "degree": lambda: _degree_section(wcc, extras),
         "assortativity": lambda: _assortativity_section(wcc),
-        "scale_free": lambda: topology.scale_free_metric(wcc).__dict__,
+        "scale_free": lambda: topology.scale_free_metric(wcc),
         "clustering": lambda: _clustering_section(wcc),
         "clustering_profile": lambda: _profile_section(wcc, config.d_max),
-        "geodesic": lambda: _geodesic_section(wcc, config.directed_geodesics),
+        "geodesic": lambda: paths.harmonic_geodesic_mean(
+            wcc, directed=config.directed_geodesics
+        ),
         "betweenness": lambda: _betweenness_section(wcc, extras),
-        "components": lambda: _components_section(g),
-        "reciprocity": lambda: _reciprocity_section(wcc),
-        "spectral": lambda: _spectral_section(wcc, config.tolerance),
+        "components": lambda: paths.component_stats(g),
+        "reciprocity": lambda: topology.reciprocity(wcc),
+        "spectral": lambda: epidemic.spectral_radius(wcc, tolerance=config.tolerance),
     }
     for name in METRICS:
         if name not in config.metrics:
             report[name] = {"skipped": "not selected"}
             continue
-        try:
-            report[name] = runners[name]()
-        except CallGraphError as exc:
-            report[name] = {"skipped": str(exc)}
+        result, report[name] = _attempt(runners[name])
+        if result is None:
             failures.append(name)
     return report, extras, failures
 
@@ -344,30 +280,14 @@ def _scalar(report: dict, *key_path):
 
 
 def summary_row(entry: CorpusEntry, report: dict | None, error: str | None) -> dict:
-    row = dict.fromkeys(_SUMMARY_COLUMNS)
-    row["label"] = entry.label
-    row["language"] = entry.language
-    row["domain"] = entry.domain
-    row["error"] = error
-    if report is None:
-        return row
-    row["n"] = report["graph"]["n"]
-    row["m"] = report["graph"]["m"]
-    row["avg_degree"] = _scalar(report, "degree", "in", "summary", "mean")
-    row["gamma_in"] = _scalar(report, "degree", "in", "power_law", "gamma")
-    row["gamma_out"] = _scalar(report, "degree", "out", "power_law", "gamma")
-    row["lambda1"] = _scalar(report, "spectral", "lambda1")
-    row["beta_c"] = _scalar(report, "spectral", "beta_c")
-    row["S"] = _scalar(report, "scale_free", "S")
-    row["global_c"] = _scalar(report, "clustering", "global_c")
-    row["assortativity_in_in"] = _scalar(report, "assortativity", "in_in", "rho")
-    row["assortativity_out_out"] = _scalar(report, "assortativity", "out_out", "rho")
-    row["assortativity_total"] = _scalar(report, "assortativity", "total", "rho")
-    row["ell"] = _scalar(report, "geodesic", "harmonic_mean_ell")
-    row["wcc_count"] = _scalar(report, "components", "wcc_count")
-    row["scc_count"] = _scalar(report, "components", "scc_count")
-    row["pct_scc"] = _scalar(report, "components", "largest_scc_fraction")
-    row["reciprocity_rho"] = _scalar(report, "reciprocity", "rho")
+    row = {
+        "label": entry.label,
+        "language": entry.language,
+        "domain": entry.domain,
+        "error": error,
+    }
+    for column, key_path in _SUMMARY_PATHS.items():
+        row[column] = _scalar(report or {}, *key_path)
     return row
 
 
@@ -429,15 +349,8 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
             failures += 1
             reports.append({"label": entry.label, "report": None, "error": payload})
             rows.append(summary_row(entry, None, payload))
-    ok_reports = [r["report"] for r in reports if r["report"] is not None]
-    if any(r.get("spectral", {}).get("lambda1") is not None for r in ok_reports):
-        trend = epidemic.lambda_vs_size(ok_reports)
-        lambda_trend = {
-            "pairs": [[n, lam] for n, lam in trend.pairs],
-            "rank_correlation": trend.rank_correlation,
-        }
-    else:
-        lambda_trend = None
+    pairs = [(row["n"], row["lambda1"]) for row in rows if row["lambda1"] is not None]
+    lambda_trend = asdict(epidemic.lambda_vs_size(pairs)) if pairs else None
     return {
         "version": VERSION,
         "config": {
@@ -507,13 +420,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
             "ratio": ratio,
         }
     return {
-        "spec": {
-            "model": spec.model,
-            "n": spec.n,
-            "m": spec.m,
-            "gamma": spec.gamma,
-            "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "replicates": replicates,
         "metrics": metrics,
     }

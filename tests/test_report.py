@@ -328,6 +328,8 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
     assert main(["baseline", missing, "--seed", "-2"]) == 3
     assert main(["baseline", missing, "--model", "erased_configuration"]) == 3
     assert main(["baseline", missing, "--gamma", "nan"]) == 3
+    assert main(["analyze", missing, "--output", "csv"]) == 3
+    assert main(["baseline", missing, "--output", "csv"]) == 3
     assert main(sweep) == 2
     # values that depend on the graph are input errors (sample n = 7)
     sweep[1] = simulate[1] = str(sample_path)
@@ -335,6 +337,15 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
     assert main(simulate + ["--initial-nodes", "0,7"]) == 2
     assert main(simulate + ["--initial-nodes", "0,6"]) == 0
     capsys.readouterr()
+
+
+def test_cli_baseline_strict_names_failed_metrics(tmp_path, capsys):
+    # the clustering profile has no eligible node on a single edge
+    p = tmp_path / "edge.edges"
+    p.write_text("a b\n", encoding="utf-8")
+    argv = ["baseline", str(p), "--replicates", "2", "--strict"]
+    assert main(argv + ["--metrics", "clustering_profile"]) == 1
+    assert capsys.readouterr().err == "failed metrics: clustering_profile\n"
 
 
 def test_cli_internal_value_error_is_not_a_config_error(
