@@ -44,36 +44,39 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _flag_groups() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The I/O flags of every verb, and those plus the analysis flags of
+    analyze, corpus and baseline."""
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument(
         "--format", choices=("edgelist", "dot"), default="edgelist",
         help="input graph format",
     )
-    common.add_argument(
+    io.add_argument("--seed", type=int, default=0, help="base seed (u64)")
+    io.add_argument(
+        "--output", choices=("json", "csv"), default="json",
+        help="report serialization",
+    )
+    io.add_argument("--out", default=None, help="write outputs into this directory")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[io])
+    analysis.add_argument(
         "--metrics", default=None,
         help="comma-separated metric list, or 'all' (default: all for "
         "analyze, the scalar summary set for corpus)",
     )
-    common.add_argument("--seed", type=int, default=0, help="base seed (u64)")
-    common.add_argument(
-        "--output", choices=("json", "csv"), default="json",
-        help="report serialization",
-    )
-    common.add_argument("--out", default=None, help="write outputs into this directory")
-    common.add_argument(
+    analysis.add_argument(
         "--strict", action="store_true",
         help="treat per-metric failures as run failures",
     )
-    common.add_argument(
+    analysis.add_argument(
         "--directed-geodesics", action="store_true",
         help="measure geodesics along edge directions instead of the symmetrized view",
     )
-    common.add_argument("--d-max", type=int, default=6, help="clustering-profile depth")
-    common.add_argument(
+    analysis.add_argument("--d-max", type=int, default=6, help="clustering-profile depth")
+    analysis.add_argument(
         "--tolerance", type=float, default=1e-10, help="spectral residual tolerance"
     )
-    return common
+    return io, analysis
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,17 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
         "for static call graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_flags()
+    io, analysis = _flag_groups()
 
-    p = sub.add_parser("analyze", parents=[common], help="analyze one graph")
+    p = sub.add_parser("analyze", parents=[analysis], help="analyze one graph")
     p.add_argument("path")
 
-    p = sub.add_parser("corpus", parents=[common], help="analyze a manifest of graphs")
+    p = sub.add_parser("corpus", parents=[analysis], help="analyze a manifest of graphs")
     p.add_argument("manifest")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p = sub.add_parser(
-        "baseline", parents=[common],
+        "baseline", parents=[analysis],
         help="analyze and compare against a size-matched random ensemble",
     )
     p.add_argument("path")
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=(GNM, ERASED_CONFIG), default=GNM)
     p.add_argument("--gamma", type=float, default=None)
 
-    sim = sub.add_parser("simulate", parents=[common], help="run one SIS trace")
+    sim = sub.add_parser("simulate", parents=[io], help="run one SIS trace")
     sim.add_argument("path")
     sim.add_argument("--beta", type=float, required=True)
     sim.add_argument("--delta", type=float, required=True)
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--initial-count", type=int, default=1)
     sim.add_argument("--initial-nodes", default=None, help="comma-separated node ids")
 
-    sw = sub.add_parser("sweep", parents=[common], help="extinction sweep over ratios")
+    sw = sub.add_parser("sweep", parents=[io], help="extinction sweep over ratios")
     sw.add_argument("path")
     sw.add_argument("--ratios", required=True, help="comma-separated beta/delta ratios")
     sw.add_argument("--runs", type=int, default=100)
@@ -129,6 +132,10 @@ def _parse_metrics(raw: str | None, default: tuple[str, ...]) -> tuple[str, ...]
 
 
 def _config(args, default_metrics: tuple[str, ...]) -> AnalysisConfig:
+    """The analysis config of analyze, baseline and corpus, checked before
+    any input is read."""
+    if args.output == "csv" and args.out is None:
+        raise ConfigError("--output csv needs --out <dir>")
     return AnalysisConfig(
         input_path=getattr(args, "path", None),
         fmt=args.format,
@@ -138,7 +145,6 @@ def _config(args, default_metrics: tuple[str, ...]) -> AnalysisConfig:
         d_max=args.d_max,
         tolerance=args.tolerance,
         strict=args.strict,
-        output=args.output,
     )
 
 
@@ -185,8 +191,6 @@ def _check_flags(check, *args) -> None:
 def _run_analyze(args) -> int:
     """analyze, and baseline: analyze plus the random-ensemble section."""
     config = _config(args, METRICS)
-    if args.output == "csv" and args.out is None:
-        raise ConfigError("--output csv needs --out <dir> for the bundle")
     baseline = args.command == "baseline"
     if baseline:
         seed = _seed(args)

@@ -87,8 +87,8 @@ def empirical_ccdf(seq: DegreeSequence) -> list[tuple[int, float]]:
     """(degree, P[X > degree]) over sorted distinct degrees."""
     if seq.n == 0:
         raise InputError("empty degree sequence")
-    degrees, counts = np.unique(seq.values, return_counts=True)
-    remaining = (seq.n - np.cumsum(counts)).tolist()
+    degrees, repeats = np.unique(seq.values, return_counts=True)
+    remaining = (seq.n - np.cumsum(repeats)).tolist()
     return [(d, r / seq.n) for d, r in zip(degrees.tolist(), remaining)]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, InputError, largest_wcc
+from .graph import CallGraph, CallGraphError, InputError, _ranges, largest_wcc
 
 
 class ConvergenceError(CallGraphError):
@@ -157,9 +157,7 @@ def validate_params(p: SisParams, n: int | None = None) -> None:
 def _neighbours(indptr, indices, nodes: np.ndarray) -> np.ndarray:
     """The CSR rows of ``nodes``, concatenated."""
     start = indptr[nodes]
-    count = indptr[nodes + 1] - start
-    first = np.repeat(start - (np.cumsum(count) - count), count)
-    return indices[first + np.arange(first.size)]
+    return indices[_ranges(start, indptr[nodes + 1] - start)]
 
 
 def sis_simulate(g: CallGraph, params: SisParams) -> SisTrace:

@@ -184,6 +184,13 @@ def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, (codes % n).astype(np.int32)
 
 
+def _ranges(starts, counts) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1``,
+    concatenated in order: the CSR entries of a set of rows."""
+    first = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return first + np.arange(first.size)
+
+
 def _unique(codes: np.ndarray) -> np.ndarray:
     """The distinct codes, ascending, by a sort: ``np.unique`` dedupes
     integers through a hash set (numpy 2.3+), 15 ms against 1 ms on 70k

@@ -8,7 +8,7 @@ from math import fsum
 
 import numpy as np
 
-from .graph import CallGraph, InputError, components, weak_components
+from .graph import CallGraph, InputError, _ranges, components, weak_components
 
 # Working-set bound of the batched traversals, in array cells: a bitset
 # batch keeps about this many uint64 words per node-indexed array and
@@ -18,9 +18,18 @@ from .graph import CallGraph, InputError, components, weak_components
 _BATCH_CELLS = 1 << 19
 
 
-def _batch_width(size: int) -> int:
-    """How many items of ``size`` cells fit ``_BATCH_CELLS`` (at least 1)."""
-    return max(1, _BATCH_CELLS // max(size, 1))
+def _batches(cost):
+    """Consecutive ``(start, stop)`` spans over items of per-item cell
+    ``cost``: each the longest run whose summed cost fits
+    ``_BATCH_CELLS``, and never empty.  The one batch rule of every
+    batched kernel, so the partition depends on the graph only."""
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(ends):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _BATCH_CELLS, "right")))
+        yield start, stop
+        start = stop
 
 
 def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
@@ -61,10 +70,9 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
         starts = np.flatnonzero(np.diff(dest, prepend=-1))
         dest = dest[starts]
         reached = np.empty((len(bits), starts.size), dtype=np.uint64)
-        slab = _batch_width(live.size)
-        for w in range(0, len(bits), slab):
-            reached[w : w + slab] = np.bitwise_or.reduceat(
-                bits[w : w + slab].take(pred, axis=1), starts, axis=1
+        for w0, w1 in _batches(np.full(len(bits), live.size)):
+            reached[w0:w1] = np.bitwise_or.reduceat(
+                bits[w0:w1].take(pred, axis=1), starts, axis=1
             )
         new = reached & ~visited[:, dest]
         keep = new.any(axis=0)
@@ -118,9 +126,9 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     n = g.n
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
-    step = 64 * _batch_width(n)
-    for start in range(0, n, step):
-        sources = np.arange(start, min(start + step, n))
+    # items are bitset words of 64 sources, each n cells wide
+    for w0, w1 in _batches(np.full((n + 63) >> 6, n)):
+        sources = np.arange(64 * w0, min(64 * w1, n))
         for depth, _, bits in _bitset_bfs(indptr, indices, sources):
             per_depth[depth] += int(np.bitwise_count(bits).sum())
     reachable = sum(per_depth.values())
@@ -153,10 +161,8 @@ def betweenness(g: CallGraph) -> BetweennessResult:
     n = g.n
     indptr, indices = (a.astype(np.int64) for a in g.csr)
     scores = np.zeros(n)
-    block = _batch_width(max(n, indices.size))
-    for start in range(0, n, block):
-        sources = np.arange(start, min(start + block, n))
-        scores += _brandes_block(indptr, indices, sources)
+    for start, stop in _batches(np.full(n, max(n, indices.size))):
+        scores += _brandes_block(indptr, indices, np.arange(start, stop))
     return BetweennessResult(values=tuple(scores.tolist()))
 
 
@@ -187,8 +193,7 @@ def _brandes_block(indptr, indices, sources) -> np.ndarray:
         node = front - base
         count = degree[node]
         parent = np.repeat(np.arange(front.size), count)
-        first = np.repeat(indptr[node] - (np.cumsum(count) - count), count)
-        child = base[parent] + indices[first + np.arange(parent.size)]
+        child = base[parent] + indices[_ranges(indptr[node], count)]
         fresh = dist[child] < 0
         parent, child = parent[fresh], child[fresh]
         dist[child] = depth

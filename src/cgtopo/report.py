@@ -84,8 +84,10 @@ class ConfigError(CallGraphError):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Analysis settings, checked when built: a bad value raises
+    ConfigError before any input is read."""
+
     input_path: str | None = None
-    label: str | None = None
     fmt: str = "edgelist"
     metrics: tuple[str, ...] = METRICS
     seed: int = 0
@@ -93,23 +95,19 @@ class AnalysisConfig:
     d_max: int = 6
     tolerance: float = 1e-10
     strict: bool = False
-    output: str = "json"
 
-
-def _validate_config(config: AnalysisConfig) -> None:
-    if not config.metrics:
-        raise ConfigError("metric selection is empty")
-    unknown = [m for m in config.metrics if m not in METRICS]
-    if unknown:
-        raise ConfigError(f"unknown metrics: {', '.join(unknown)}")
-    if config.fmt not in ("edgelist", "dot"):
-        raise ConfigError(f"unknown input format: {config.fmt!r}")
-    if config.output not in ("json", "csv"):
-        raise ConfigError(f"unknown output format: {config.output!r}")
-    if config.d_max < 1:
-        raise ConfigError(f"--d-max must be >= 1, got {config.d_max}")
-    if not 0 < config.tolerance < float("inf"):
-        raise ConfigError(f"--tolerance must be in (0, inf), got {config.tolerance}")
+    def __post_init__(self) -> None:
+        if not self.metrics:
+            raise ConfigError("metric selection is empty")
+        unknown = [m for m in self.metrics if m not in METRICS]
+        if unknown:
+            raise ConfigError(f"unknown metrics: {', '.join(unknown)}")
+        if self.fmt not in ("edgelist", "dot"):
+            raise ConfigError(f"unknown input format: {self.fmt!r}")
+        if self.d_max < 1:
+            raise ConfigError(f"--d-max must be >= 1, got {self.d_max}")
+        if not 0 < self.tolerance < float("inf"):
+            raise ConfigError(f"--tolerance must be in (0, inf), got {self.tolerance}")
 
 
 def _attempt(compute, *args) -> tuple[object, dict]:
@@ -207,7 +205,6 @@ def analyze_graph(
     per-degree arrays that only the CSV bundle needs; failures list the
     metrics that raised and were marked skipped.
     """
-    _validate_config(config)
     wcc = largest_wcc(g)
     extras: dict = {}
     failures: list[str] = []
@@ -265,8 +262,7 @@ def analyze(config: AnalysisConfig) -> dict:
     if config.input_path is None:
         raise ConfigError("no input path configured")
     g = load_graph(config.input_path, config.fmt)
-    label = config.label or config.input_path
-    report, _, _ = analyze_graph(g, config, label)
+    report, _, _ = analyze_graph(g, config, config.input_path)
     return report
 
 
@@ -295,7 +291,7 @@ def _corpus_worker(task: tuple[CorpusEntry, AnalysisConfig]) -> tuple[str, objec
     entry, config = task
     try:
         g = load_entry(entry, config.fmt)
-        cfg = replace(config, input_path=entry.path, label=entry.label)
+        cfg = replace(config, input_path=entry.path)
         report, _, failures = analyze_graph(g, cfg, entry.label)
         if failures and config.strict:
             return "error", f"metrics failed: {', '.join(failures)}"
@@ -318,7 +314,6 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     always follows the manifest, so parallel and serial runs serialize
     identically.
     """
-    _validate_config(config)
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     entries = read_manifest(manifest_path)

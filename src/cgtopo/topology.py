@@ -16,7 +16,7 @@ from math import fsum
 import numpy as np
 
 from . import paths
-from .graph import CallGraph, CallGraphError, InputError
+from .graph import CallGraph, CallGraphError, InputError, _ranges
 
 ASSORTATIVITY_MODES = ("in_in", "out_out", "total")
 
@@ -163,16 +163,10 @@ def _triangles(h: CallGraph) -> np.ndarray:
     a = h.adjacency
     indptr, indices = h.csr
     reach = np.concatenate(([0], np.cumsum(h.out_degrees[indices])))
-    ends = np.cumsum(reach[indptr[1:]] - reach[indptr[:-1]])
     tri = np.empty(h.n)
-    start = 0
-    while start < h.n:
-        done = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, done + paths._BATCH_CELLS, side="right"))
-        stop = max(stop, start + 1)
+    for start, stop in paths._batches(reach[indptr[1:]] - reach[indptr[:-1]]):
         rows = a[start:stop]
         tri[start:stop] = (rows @ a).multiply(rows).sum(axis=1).A1 / 2
-        start = stop
     return tri
 
 
@@ -268,24 +262,15 @@ def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
     block = _edge_blocks(indptr, indices)
     # arc a of node i leads the pairs it forms with the later arcs of i
     later = indptr[owner + 1] - np.arange(arcs) - 1
-    ends = np.cumsum(later)
-    rows_per_batch = 64 * paths._batch_width(n)
-    # a pair takes about eight int64 cells
-    pairs_per_batch = paths._batch_width(8)
     classes = np.zeros((n, d_max + 2), dtype=np.int64)
     slot = np.full(n, -1, dtype=np.intp)
-    start = 0
-    while start < arcs:
-        # a batch of leading arcs whose pairs fit the cell budget
-        done = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, done + pairs_per_batch, side="right"))
-        stop = min(max(stop, start + 1), start + rows_per_batch, arcs)
+    # a lead arc costs about eight int64 cells per pair it leads, and
+    # its bitset row one uint64 word per 64 nodes
+    for start, stop in paths._batches(8 * later + ((n + 63) >> 6)):
         count = later[start:stop]
         lead = np.repeat(np.arange(start, stop), count)
         # arc a pairs with a + 1, a + 2, ...
-        step = np.arange(lead.size) - np.repeat(np.cumsum(count) - count, count)
-        other = lead + 1 + step
-        start = stop
+        other = _ranges(np.arange(start + 1, stop + 1), count)
         cls = np.zeros(lead.size, dtype=np.int64)
         same = np.flatnonzero(block[lead] == block[other])
         cls[same] = d_max + 1

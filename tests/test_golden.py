@@ -3,16 +3,18 @@
 ``tests/data/golden`` holds the outputs of
 
 - ``analyze <label>.edges --metrics all --seed 7 --output csv`` for
-  bridged-triangles, hierarchical-125 and star-101: ``report.json`` and
-  the CSV bundle, one directory per label;
+  bridged-triangles, hierarchical-125, star-101 and gnm-2000:
+  ``report.json`` and the CSV bundle, one directory per label;
 - ``corpus manifest.tsv --seed 7 --output csv`` on a manifest of those
-  three: ``corpus/corpus.json`` and ``corpus/summary.csv``.
+  four: ``corpus/corpus.json`` and ``corpus/summary.csv``.
 
 Inputs come from the demo corpus at seed 7 and every command runs in
 one directory with relative paths; the corpus report names its inputs
 by absolute path, so that directory prefix is stripped before
 comparing.  Every summary column is filled for the first two fixtures,
 so a moved key shows as a changed byte, not as an empty cell.
+gnm-2000 is the one fixture whose betweenness runs many Brandes blocks
+(31 of 65 sources), so it pins the order in which the blocks are summed.
 
 The goldens were made with Python 3.11, numpy 2.4 and scipy 1.17 on
 x86-64.  lambda1 comes from ARPACK, whose last bits can differ on
@@ -29,7 +31,7 @@ from cgtopo.cli import main
 from cgtopo.fixtures import write_demo_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-LABELS = ("bridged-triangles", "hierarchical-125", "star-101")
+LABELS = ("bridged-triangles", "hierarchical-125", "star-101", "gnm-2000")
 
 
 def _generate(demo: Path, work: Path, monkeypatch) -> dict[str, bytes]:

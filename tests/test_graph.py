@@ -19,6 +19,7 @@ from cgtopo import (
     weak_components,
 )
 from cgtopo.fixtures import permutation_core_graph
+from cgtopo.graph import _ranges
 from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
 
 
@@ -341,6 +342,19 @@ def _forbid_tuple_views(monkeypatch):
 
     for name in ("out_adj", "in_adj"):
         monkeypatch.setattr(CallGraph, name, property(forbidden))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 5)), max_size=20))
+def test_ranges_concatenate_row_positions(rows):
+    # int32, as CSR arrays are; zero counts and no rows at all are the
+    # common case of an SIS step in which no node changed state
+    starts = np.array([s for s, _ in rows], dtype=np.int32)
+    counts = np.array([c for _, c in rows], dtype=np.int32)
+    want = [np.arange(s, s + c) for s, c in rows]
+    got = _ranges(starts, counts)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == np.concatenate([np.arange(0), *want]).tolist()
 
 
 def test_load_and_sweep_build_no_tuple_views(monkeypatch):

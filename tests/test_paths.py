@@ -340,6 +340,39 @@ def test_bitset_bfs_rows_against_plain_bfs(rows):
         assert got == _bfs_rows(g, sources.tolist(), ban, cap)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.integers(1, 64),
+    cost=st.lists(st.integers(0, 80), max_size=40),
+)
+def test_batches_tile_fit_and_are_maximal(cells, cost):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_BATCH_CELLS", cells)
+        spans = list(paths._batches(np.array(cost, dtype=np.int64)))
+    # consecutive, non-empty and covering [0, len)
+    bounds = [0] + [stop for _, stop in spans]
+    assert spans == list(zip(bounds, bounds[1:]))
+    assert bounds[-1] == len(cost)
+    assert all(start < stop for start, stop in spans)
+    for start, stop in spans:
+        if stop - start > 1:
+            assert sum(cost[start:stop]) <= cells
+        if stop < len(cost):
+            assert sum(cost[start : stop + 1]) > cells
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    cost=st.integers(paths._BATCH_CELLS // 400, 3 * paths._BATCH_CELLS),
+    count=st.integers(1, 1000),
+)
+def test_batches_of_uniform_cost_have_one_width(cost, count):
+    # the width rule that fixes the betweenness block partition
+    width = max(1, paths._BATCH_CELLS // cost)
+    spans = list(paths._batches(np.full(count, cost)))
+    assert spans == [(s, min(s + width, count)) for s in range(0, count, width)]
+
+
 @pytest.mark.parametrize("n", [2, 63, 64, 65, 200])
 def test_batched_kernels_independent_of_batch_size(monkeypatch, n):
     m = min(3 * n, n * (n - 1))

@@ -330,6 +330,12 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
     assert main(["baseline", missing, "--gamma", "nan"]) == 3
     assert main(["analyze", missing, "--output", "csv"]) == 3
     assert main(["baseline", missing, "--output", "csv"]) == 3
+    assert main(["analyze", missing, "--d-max", "0"]) == 3
+    assert main(["analyze", missing, "--metrics", "bogus"]) == 3
+    assert main(["analyze", missing, "--tolerance", "-1"]) == 3
+    assert main(["baseline", missing, "--d-max", "0"]) == 3
+    manifest = str(tmp_path / "missing.tsv")
+    assert main(["corpus", manifest, "--output", "csv"]) == 3
     assert main(sweep) == 2
     # values that depend on the graph are input errors (sample n = 7)
     sweep[1] = simulate[1] = str(sample_path)
@@ -337,6 +343,21 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
     assert main(simulate + ["--initial-nodes", "0,7"]) == 2
     assert main(simulate + ["--initial-nodes", "0,6"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--metrics", "all"], ["--strict"], ["--directed-geodesics"],
+     ["--d-max", "3"], ["--tolerance", "1e-8"]],
+)
+def test_cli_sis_verbs_take_no_analysis_flags(sample_path, flag, capsys):
+    simulate = ["simulate", str(sample_path), "--beta", "0.5", "--delta", "0.5"]
+    sweep = ["sweep", str(sample_path), "--ratios", "0.5"]
+    for argv in (simulate, sweep):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_baseline_strict_names_failed_metrics(tmp_path, capsys):
