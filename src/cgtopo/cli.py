@@ -172,13 +172,6 @@ def _initial(args) -> tuple[int, ...] | int:
     return args.initial_count
 
 
-def _seed(args) -> int:
-    """The --seed of the commands that draw random numbers."""
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed
-
-
 def _check_flags(check, *args) -> None:
     """Run a library parameter check before any input is read, so a bad
     flag value is a config error, not an input error."""
@@ -193,14 +186,13 @@ def _run_analyze(args) -> int:
     config = _config(args, METRICS)
     baseline = args.command == "baseline"
     if baseline:
-        seed = _seed(args)
         if args.replicates < 2:
             raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
         validate_model(args.model, args.gamma)
     g = load_graph(args.path, args.format)
     report, extras, failures = analyze_graph(g, config, label=args.path)
     if baseline:
-        spec = RandomGraphSpec(args.model, n=g.n, m=g.m, gamma=args.gamma, seed=seed)
+        spec = RandomGraphSpec(args.model, n=g.n, m=g.m, gamma=args.gamma, seed=args.seed)
         report["baseline"] = compare_baseline(report, spec, args.replicates)
     _emit(to_json(report), args.out, "report.json")
     if args.output == "csv":
@@ -232,7 +224,7 @@ def _sis_params(args, beta: float) -> SisParams:
         delta=args.delta,
         initial_infected=_initial(args),
         max_steps=args.steps,
-        seed=_seed(args),
+        seed=args.seed,
     )
     _check_flags(validate_params, params)
     return params

@@ -137,6 +137,8 @@ def validate_params(p: SisParams, n: int | None = None) -> None:
         raise InputError(f"delta must be in [0, 1], got {p.delta}")
     if p.max_steps < 1:
         raise InputError(f"max_steps must be >= 1, got {p.max_steps}")
+    if p.seed < 0:
+        raise InputError(f"seed must be non-negative, got {p.seed}")
     if isinstance(p.initial_infected, int):
         if p.initial_infected < 1:
             raise InputError(
@@ -250,6 +252,7 @@ def threshold_sweep(
     Per-run seeds derive from (base seed, ratio index, run index), so
     the sweep is reproducible and runs may execute in any order.
     """
+    validate_params(base_params, g.n)
     ratios = tuple(float(r) for r in ratios)
     betas = sweep_betas(ratios, runs_per_ratio, base_params.delta)
     probs = []
@@ -270,18 +273,9 @@ def threshold_sweep(
 
 
 def _average_ranks(values) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        rank = (i + j) / 2 + 1
-        for t in range(i, j + 1):
-            ranks[order[t]] = rank
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse].tolist()
 
 
 def _spearman(a, b) -> float:

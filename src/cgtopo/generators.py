@@ -42,6 +42,8 @@ def _validate(spec: RandomGraphSpec) -> None:
     validate_model(spec.model, spec.gamma)
     if spec.n < 2:
         raise SpecError(f"n must be >= 2, got {spec.n}")
+    if spec.seed < 0:
+        raise SpecError(f"seed must be non-negative, got {spec.seed}")
     if spec.model == GNM and not 0 <= spec.m <= spec.n * (spec.n - 1):
         raise SpecError(
             f"m={spec.m} outside [0, n(n-1)] = [0, {spec.n * (spec.n - 1)}]"

@@ -25,7 +25,7 @@ import numpy as np
 from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
-from .generators import GNM, RandomGraphSpec, generate_random
+from .generators import GNM, RandomGraphSpec, _validate, generate_random
 from .graph import CallGraph, CallGraphError, largest_wcc, load_graph
 
 VERSION = "0.1.0"
@@ -108,6 +108,8 @@ class AnalysisConfig:
             raise ConfigError(f"--d-max must be >= 1, got {self.d_max}")
         if not 0 < self.tolerance < float("inf"):
             raise ConfigError(f"--tolerance must be in (0, inf), got {self.tolerance}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
 
 
 def _attempt(compute, *args) -> tuple[object, dict]:
@@ -367,16 +369,19 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
 
     Each replicate is generated from a seed derived from (spec.seed,
     replicate index), analyzed on its largest WCC, and summarized as
-    mean, sample standard deviation, and observed/mean ratio.
+    mean, sample standard deviation, and observed/mean ratio.  Replicate
+    geodesics follow edge directions when the report's do.
     """
     if replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
+    _validate(spec)
     n, m = report["graph"]["n"], report["graph"]["m"]
     if spec.n != n or (spec.model == GNM and spec.m != m):
         raise ConfigError(
             f"baseline spec (n={spec.n}, m={spec.m}) does not match graph "
             f"(n={n}, m={m})"
         )
+    directed = report["config"]["directed_geodesics"]
     samples: dict[str, list[float]] = {"global_c": [], "ell": [], "varrho": []}
     for r in range(replicates):
         sub_seed = int(
@@ -386,7 +391,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
         c = topology.clustering(h).global_c
         if c is not None:
             samples["global_c"].append(c)
-        ell = paths.harmonic_geodesic_mean(h).harmonic_mean_ell
+        ell = paths.harmonic_geodesic_mean(h, directed=directed).harmonic_mean_ell
         if ell is not None:
             samples["ell"].append(ell)
         samples["varrho"].append(topology.reciprocity(h).varrho)
@@ -452,31 +457,15 @@ def write_csv_bundle(report: dict, extras: dict, out_dir) -> list[str]:
     """Derive the CSV views from a report; returns the filenames written."""
     from pathlib import Path
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     flat: list = []
     _flatten(report, "", flat)
-    (out / "metrics.csv").write_text(
-        _csv_text(["key", "value"], flat), encoding="utf-8"
-    )
-    written.append("metrics.csv")
-
-    for mode in ("in", "out"):
-        key = f"ccdf_{mode}"
+    # (filename, header, rows) in write order
+    files = [("metrics.csv", ["key", "value"], flat)]
+    for key in ("ccdf_in", "ccdf_out"):
         if key in extras:
-            name = f"{key}.csv"
-            (out / name).write_text(
-                _csv_text(["degree", "ccdf"], extras[key]), encoding="utf-8"
-            )
-            written.append(name)
+            files.append((f"{key}.csv", ["degree", "ccdf"], extras[key]))
     if "betweenness" in extras:
-        (out / "betweenness.csv").write_text(
-            _csv_text(["node", "betweenness"], extras["betweenness"]),
-            encoding="utf-8",
-        )
-        written.append("betweenness.csv")
+        files.append(("betweenness.csv", ["node", "betweenness"], extras["betweenness"]))
     profile = report.get("clustering_profile")
     if isinstance(profile, dict) and "cells" in profile:
         cell_rows = [
@@ -484,15 +473,14 @@ def write_csv_bundle(report: dict, extras: dict, out_dir) -> list[str]:
             for d, row in sorted(profile["cells"].items(), key=lambda kv: int(kv[0]))
             for k, value in sorted(row.items(), key=lambda kv: int(kv[0]))
         ]
-        (out / "clustering_profile.csv").write_text(
-            _csv_text(["d", "k", "value"], cell_rows), encoding="utf-8"
-        )
         agg_rows = sorted(profile["aggregate"].items(), key=lambda kv: int(kv[0]))
-        (out / "clustering_profile_aggregate.csv").write_text(
-            _csv_text(["d", "aggregate"], agg_rows), encoding="utf-8"
-        )
-        written += ["clustering_profile.csv", "clustering_profile_aggregate.csv"]
-    return written
+        files.append(("clustering_profile.csv", ["d", "k", "value"], cell_rows))
+        files.append(("clustering_profile_aggregate.csv", ["d", "aggregate"], agg_rows))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in files:
+        (out / name).write_text(_csv_text(header, rows), encoding="utf-8")
+    return [name for name, _, _ in files]
 
 
 def corpus_summary_csv(corpus_result: dict) -> str:

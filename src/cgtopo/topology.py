@@ -298,67 +298,38 @@ def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
 
 def _edge_blocks(indptr, indices) -> np.ndarray:
     """Biconnected-block label of every arc of a symmetric CSR graph;
-    both arcs of an edge share the label.  Iterative Hopcroft-Tarjan
-    (1973): one depth-first pass with an edge stack."""
-    n = len(indptr) - 1
-    ptr = indptr.tolist()
-    nbr = indices.tolist()
-    disc = [-1] * n
-    low = [0] * n
-    label = [-1] * len(nbr)
-    edge_stack: list[int] = []
-    blocks = 0
-    clock = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        # DFS path: node, next arc to scan, tree arc into the node
-        path = [root]
-        cursor = [ptr[root]]
-        tree = [-1]
-        while path:
-            v = path[-1]
-            a = cursor[-1]
-            if a < ptr[v + 1]:
-                cursor[-1] = a + 1
-                w = nbr[a]
-                if disc[w] < 0:
-                    disc[w] = low[w] = clock
-                    clock += 1
-                    edge_stack.append(a)
-                    path.append(w)
-                    cursor.append(ptr[w])
-                    tree.append(a)
-                elif disc[w] < disc[v]:
-                    # includes the arc back to the DFS parent: it keeps
-                    # low[v] >= disc[parent] exactly when the tree edge
-                    # ends a block, and lands in that block
-                    edge_stack.append(a)
-                    low[v] = min(low[v], disc[w])
-                continue
-            path.pop()
-            cursor.pop()
-            into = tree.pop()
-            if not path:
-                continue
-            u = path[-1]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                while True:
-                    e = edge_stack.pop()
-                    label[e] = blocks
-                    if e == into:
-                        break
-                blocks += 1
-    # each edge was stacked through one of its arcs; copy to the other
-    label = np.array(label, dtype=np.int64)
-    head = np.asarray(indices, dtype=np.int64)
+    both arcs of an edge share the label.  Low points (Hopcroft and
+    Tarjan, 1973) over scipy's depth-first order: tree edge p-v opens a
+    block unless an arc from v's subtree reaches above p, and each arc
+    takes the block of its deeper end.  scipy rescans a row each time the
+    search returns to its node, so the search reads up to sum(deg**2)
+    arcs, about twice the pairs that `_pair_classes` enumerates anyway."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import depth_first_order
+
+    n, arcs = len(indptr) - 1, len(indices)
+    # virtual node n + i leads to node i, then to n + i + 1, so one search
+    # from n roots every component at its smallest node
+    heads = np.column_stack((np.arange(n), np.arange(n + 1, 2 * n + 1))).ravel()
+    ptr = np.concatenate((indptr, arcs + 2 * np.minimum(np.arange(1, n + 2), n)))
+    chained = (np.ones(arcs + 2 * n), np.concatenate((indices, heads)), ptr)
+    order, parent = depth_first_order(csr_array(chained, shape=(2 * n + 1,) * 2), n)
+    disc = np.empty(2 * n + 1, dtype=np.int64)
+    disc[order] = np.arange(order.size)
     tail = np.repeat(np.arange(n), np.diff(indptr))
-    reverse = np.empty(len(nbr), dtype=np.int64)
-    reverse[np.argsort(tail * n + head)] = np.argsort(head * n + tail)
-    return np.where(label >= 0, label, label[reverse])
+    deeper = np.where(disc[tail] > disc[indices], tail, indices)
+    # an arc from the shallower end leaves its tail's low point as it is
+    low = disc.copy()
+    np.minimum.at(low, tail, disc[indices])
+    order = order[order < n].tolist()
+    parent, low, disc = parent.tolist(), low.tolist(), disc.tolist()
+    for v in reversed(order):
+        low[parent[v]] = min(low[parent[v]], low[v])
+    block = [0] * n
+    for opened, v in enumerate(order):
+        p = parent[v]
+        block[v] = opened if low[v] >= disc[p] else block[p]
+    return np.array(block)[deeper]
 
 
 def reciprocity(g: CallGraph) -> ReciprocityResult:

@@ -172,6 +172,8 @@ def test_sis_parameter_validation():
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(99,), max_steps=5, seed=1))
     with pytest.raises(InputError):
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(), max_steps=5, seed=1))
+    with pytest.raises(InputError, match="seed"):
+        sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=-1))
 
 
 def _oracle_sis(g, params, flips=None):
@@ -348,6 +350,13 @@ def test_sweep_rejects_beta_above_one():
         threshold_sweep(g, [0.5, 3.0], 5, base)
 
 
+def test_sweep_rejects_negative_base_seed():
+    # no run takes the base seed itself: it only seeds the per-run seeds
+    base = SisParams(beta=0.0, delta=0.5, initial_infected=(0,), max_steps=10, seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        threshold_sweep(star_graph(5), [0.5, 1.0], 5, base)
+
+
 def test_sweep_deep_subthreshold_dies_out():
     g = star_graph(100)
     base = SisParams(beta=0.0, delta=1.0, initial_infected=(0,), max_steps=500, seed=11)
@@ -370,3 +379,13 @@ def test_lambda_vs_size_correlation():
     assert trend.rank_correlation == 1.0
     flat = lambda_vs_size([(10, 2.0)])
     assert flat.rank_correlation is None
+    # ties on both sides take average ranks
+    pairs = [(10, 3.0), (10, 2.0), (100, 3.0), (1000, 9.0), (1000, 1.0), (50, 3.0)]
+    tied = lambda_vs_size(pairs)
+    from scipy.stats import spearmanr
+
+    ns, lams = zip(*sorted(pairs))
+    assert tied.rank_correlation == pytest.approx(
+        spearmanr(ns, lams).statistic, rel=1e-12
+    )
+    assert tied.rank_correlation not in (0.0, 1.0)

@@ -50,6 +50,8 @@ def test_spec_validation():
         generate_random(RandomGraphSpec(model="nope", n=5, m=2, seed=1))
     with pytest.raises(SpecError):
         generate_random(RandomGraphSpec(model=GNM, n=0, m=0, seed=1))
+    with pytest.raises(SpecError, match="seed"):
+        generate_random(RandomGraphSpec(model=GNM, n=5, m=2, seed=-1))
     with pytest.raises(SpecError):
         generate_random(
             RandomGraphSpec(model=ERASED_CONFIG, n=100, m=0, gamma=0.9, seed=1)

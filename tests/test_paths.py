@@ -413,6 +413,26 @@ def test_betweenness_matches_networkx_at_scale(spec):
         assert math.isclose(got[v], want[v], rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_betweenness_identities_on_demo_gnm_2000():
+    # the demo gnm-2000 fixture: 31 Brandes blocks
+    g = generate_random(RandomGraphSpec(model=GNM, n=2000, m=8000, seed=8))
+    got = betweenness(g).values
+    # pair sum: every geodesic s -> t at distance d has d - 1 interior
+    # slots, counted here from the directed BFS distance histogram
+    interior = sum(
+        (depth - 1) * int(np.bitwise_count(bits).sum())
+        for depth, _, bits in paths._bitset_bfs(*g.in_csr, np.arange(g.n))
+    )
+    assert interior == 17_629_283
+    assert math.fsum(got) == interior
+    # reversal: reversed geodesics keep their interior nodes
+    tails, heads = g.arcs()
+    back = betweenness(CallGraph.from_id_pairs(g.n, np.column_stack((heads, tails))))
+    assert sum(v > 0 for v in got) > 1900
+    for a, b in zip(got, back.values):
+        assert math.isclose(a, b, rel_tol=1e-12)
+
+
 @st.composite
 def _relabelled(draw):
     n = draw(st.integers(2, 24))

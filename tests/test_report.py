@@ -10,6 +10,7 @@ from cgtopo import (
     ConfigError,
     ParseError,
     RandomGraphSpec,
+    SpecError,
     ValidationError,
     analyze,
     analyze_corpus,
@@ -249,10 +250,26 @@ def test_baseline_clustered_fixture_ratio_large(tmp_path):
     assert cmp_res["metrics"]["global_c"]["ratio"] > 5.0
 
 
+def test_baseline_geodesics_follow_the_report_direction():
+    g = hierarchical_graph(3)
+    spec = RandomGraphSpec(model=GNM, n=g.n, m=g.m, seed=1)
+    ell = {}
+    for directed in (False, True):
+        cfg = AnalysisConfig(metrics=("geodesic",), directed_geodesics=directed)
+        report, _, _ = analyze_graph(g, cfg, label="hierarchical-125")
+        ell[directed] = compare_baseline(report, spec, replicates=3)["metrics"]["ell"]
+    # no directed distance is shorter than its undirected one, so on the
+    # same replicates the directed harmonic mean is the larger
+    assert ell[True]["baseline_mean"] > ell[False]["baseline_mean"]
+    assert ell[True]["observed"] > ell[False]["observed"]
+
+
 def test_baseline_requires_two_replicates(tmp_path, sample_path):
     report = analyze(_config(sample_path, metrics=("clustering",)))
     with pytest.raises(ConfigError):
         compare_baseline(report, RandomGraphSpec(model=GNM, n=7, m=6, seed=1), 1)
+    with pytest.raises(SpecError, match="seed"):
+        compare_baseline(report, RandomGraphSpec(model=GNM, n=7, m=6, seed=-1), 2)
 
 
 def test_config_validation_errors(sample_path):
@@ -264,6 +281,8 @@ def test_config_validation_errors(sample_path):
         analyze(_config(sample_path, d_max=0))
     with pytest.raises(ConfigError):
         analyze(_config(sample_path, tolerance=0.0))
+    with pytest.raises(ConfigError):
+        analyze(_config(sample_path, seed=-5))
 
 
 def test_cli_analyze_stdout_and_exit_zero(sample_path, capsys):
@@ -313,6 +332,7 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
         ["--ratios", "1,0.5"],
         ["--ratios", ""],
         ["--ratios", "0.5,30"],  # beta = 30 * delta(1.0) is above 1
+        ["--seed", "-5"],
     ):
         assert main(sweep + extra) == 3, extra
     simulate = ["simulate", missing, "--beta", "0.5", "--delta", "0.5", "--steps", "5"]
@@ -322,6 +342,7 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
         ["--delta", "2"],
         ["--steps", "0"],
         ["--initial-count", "0"],
+        ["--seed", "-5"],
     ):
         assert main(simulate + extra) == 3, extra
     assert main(["baseline", missing, "--replicates", "1"]) == 3
@@ -336,6 +357,8 @@ def test_cli_bad_flag_values_exit_before_loading(tmp_path, sample_path, capsys):
     assert main(["baseline", missing, "--d-max", "0"]) == 3
     manifest = str(tmp_path / "missing.tsv")
     assert main(["corpus", manifest, "--output", "csv"]) == 3
+    assert main(["analyze", missing, "--seed", "-5"]) == 3
+    assert main(["corpus", manifest, "--seed", "-5"]) == 3
     assert main(sweep) == 2
     # values that depend on the graph are input errors (sample n = 7)
     sweep[1] = simulate[1] = str(sample_path)

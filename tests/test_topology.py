@@ -284,7 +284,9 @@ def test_profile_counts_match_neighbour_pair_distances():
 def test_edge_blocks_match_networkx():
     nx = pytest.importorskip("networkx")
     graphs = ARTICULATED + [
-        generate_random(RandomGraphSpec(model=GNM, n=2000, m=2600, seed=9))
+        generate_random(RandomGraphSpec(model=GNM, n=2000, m=2600, seed=9)),
+        # the demo powerlaw-2.5 fixture: 1,343 blocks
+        generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=10_000, gamma=2.5, seed=7)),
     ]
     for g in graphs:
         h = symmetrize(g)
