@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, InputError, _ranges, largest_wcc
+from .graph import CallGraph, CallGraphError, InputError, _pmap, _ranges, largest_wcc
 
 
 class ConvergenceError(CallGraphError):
@@ -255,21 +255,26 @@ def threshold_sweep(
     validate_params(base_params, g.n)
     ratios = tuple(float(r) for r in ratios)
     betas = sweep_betas(ratios, runs_per_ratio, base_params.delta)
-    probs = []
-    for i, beta in enumerate(betas):
-        extinct = 0
-        for j in range(runs_per_ratio):
-            seed = int(
-                np.random.SeedSequence([base_params.seed, i, j]).generate_state(
-                    1, np.uint64
-                )[0]
-            )
-            trace = sis_simulate(g, replace(base_params, beta=beta, seed=seed))
-            extinct += trace.outcome == "extinct"
-        probs.append(extinct / runs_per_ratio)
+    g.undirected  # built once, before the runs fork
+    runs = [(i, j) for i in range(len(betas)) for j in range(runs_per_ratio)]
+    extinct = [0] * len(betas)
+    for (i, _), died in zip(runs, _pmap(_sweep_run, (g, base_params, betas), runs)):
+        extinct[i] += died
     return ThresholdSweep(
-        ratios=ratios, extinction_prob=tuple(probs), runs_per_ratio=runs_per_ratio
+        ratios=ratios,
+        extinction_prob=tuple(e / runs_per_ratio for e in extinct),
+        runs_per_ratio=runs_per_ratio,
     )
+
+
+def _sweep_run(g: CallGraph, base_params: SisParams, betas, run) -> bool:
+    """Whether run ``run = (i, j)`` of the sweep, run j at ratio i, dies out."""
+    i, j = run
+    seed = int(
+        np.random.SeedSequence([base_params.seed, i, j]).generate_state(1, np.uint64)[0]
+    )
+    trace = sis_simulate(g, replace(base_params, beta=betas[i], seed=seed))
+    return trace.outcome == "extinct"
 
 
 def _average_ranks(values) -> list[float]:

@@ -7,6 +7,8 @@ assigned in first-appearance order by the loaders.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -189,6 +191,64 @@ def _ranges(starts, counts) -> np.ndarray:
     concatenated in order: the CSR entries of a set of rows."""
     first = np.repeat(starts - (np.cumsum(counts) - counts), counts)
     return first + np.arange(first.size)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform keeps no
+    affinity mask (macOS, where fork is unsafe anyway)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _pmap(fn, shared, items, workers=None):
+    """``fn(*shared, item)`` for each of ``items``, yielded in item order.
+
+    Up to ``workers`` (default: one per CPU this process may run on)
+    processes share the work, never more than there are items.  They
+    are forked on the first read, so they see ``shared`` copy-on-write
+    and only the items and results are pickled; the caller builds
+    whatever ``fn`` reads lazily before that.  cgtopo starts no thread
+    of its own and the pool's handler threads start after the fork, so
+    the fork is safe.  The items run serially when one worker would do,
+    where fork is unavailable and inside a worker, so pools never nest.
+    Every worker is joined before the generator finishes or passes on
+    an error, also when the reader stops early.
+    """
+    items = list(items)
+    workers = min(workers or _cpus(), len(items))
+    if (
+        workers < 2
+        or multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        for item in items:
+            yield fn(*shared, item)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers, _pool_start, (fn, shared))
+    try:
+        yield from pool.imap(_pool_call, items)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
+# the task of this pool worker, set by ``_pmap`` after the fork
+_pool_task = None
+
+
+def _pool_start(fn, shared) -> None:
+    global _pool_task
+    _pool_task = fn, shared
+
+
+def _pool_call(item):
+    fn, shared = _pool_task
+    return fn(*shared, item)
 
 
 def _unique(codes: np.ndarray) -> np.ndarray:

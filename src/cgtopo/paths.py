@@ -8,7 +8,7 @@ from math import fsum
 
 import numpy as np
 
-from .graph import CallGraph, InputError, _ranges, components, weak_components
+from .graph import CallGraph, InputError, _pmap, _ranges, components, weak_components
 
 # Working-set bound of the batched traversals, in array cells: a bitset
 # batch keeps about this many uint64 words per node-indexed array and
@@ -127,10 +127,9 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
     # items are bitset words of 64 sources, each n cells wide
-    for w0, w1 in _batches(np.full((n + 63) >> 6, n)):
-        sources = np.arange(64 * w0, min(64 * w1, n))
-        for depth, _, bits in _bitset_bfs(indptr, indices, sources):
-            per_depth[depth] += int(np.bitwise_count(bits).sum())
+    words = _batches(np.full((n + 63) >> 6, n))
+    for counts in _pmap(_depth_counts, (indptr, indices), words):
+        per_depth.update(counts)
     reachable = sum(per_depth.values())
     inv_sum = fsum(count / depth for depth, count in per_depth.items())
     ordered_pairs = n * (n - 1)
@@ -151,6 +150,17 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     )
 
 
+def _depth_counts(indptr, indices, words) -> Counter:
+    """Reached (source, node) pairs by distance, for the sources of
+    bitset words ``words = (w0, w1)``."""
+    w0, w1 = words
+    sources = np.arange(64 * w0, min(64 * w1, len(indptr) - 1))
+    counts: Counter = Counter()
+    for depth, _, bits in _bitset_bfs(indptr, indices, sources):
+        counts[depth] = int(np.bitwise_count(bits).sum())
+    return counts
+
+
 def betweenness(g: CallGraph) -> BetweennessResult:
     """Exact unweighted betweenness, unnormalized, endpoints excluded.
 
@@ -161,13 +171,17 @@ def betweenness(g: CallGraph) -> BetweennessResult:
     n = g.n
     indptr, indices = (a.astype(np.int64) for a in g.csr)
     scores = np.zeros(n)
-    for start, stop in _batches(np.full(n, max(n, indices.size))):
-        scores += _brandes_block(indptr, indices, np.arange(start, stop))
+    # the blocks are added in span order, so the sum is the same bits
+    # whichever worker computed each block
+    blocks = _batches(np.full(n, max(n, indices.size)))
+    for block in _pmap(_brandes_block, (indptr, indices), blocks):
+        scores += block
     return BetweennessResult(values=tuple(scores.tolist()))
 
 
-def _brandes_block(indptr, indices, sources) -> np.ndarray:
-    """Summed dependencies of ``sources`` on every node, as an n-vector.
+def _brandes_block(indptr, indices, span) -> np.ndarray:
+    """Summed dependencies of sources ``span = (start, stop)`` on every
+    node, as an n-vector.
 
     Cells are flat codes b*n + v for block row b (source ``sources[b]``)
     and node v.  Path counts sigma are float64: exact below 2**53, and
@@ -175,6 +189,7 @@ def _brandes_block(indptr, indices, sources) -> np.ndarray:
     """
     n = len(indptr) - 1
     degree = np.diff(indptr)
+    sources = np.arange(*span)
     b = len(sources)
     roots = np.arange(b) * n + sources
     dist = np.full(b * n, -1, dtype=np.int32)

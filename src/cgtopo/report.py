@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, is_dataclass, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, _validate, generate_random
-from .graph import CallGraph, CallGraphError, largest_wcc, load_graph
+from .graph import CallGraph, CallGraphError, _pmap, largest_wcc, load_graph
 
 VERSION = "0.1.0"
 
@@ -312,29 +311,26 @@ def _file_size(path) -> int:
 def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict:
     """One report per manifest entry plus a per-program summary table.
 
-    Entries may run in parallel, largest input file first; output order
-    always follows the manifest, so parallel and serial runs serialize
-    identically.
+    Entries run on up to ``jobs`` forked workers, largest input file
+    first, and each worker runs the metric kernels serially; output
+    order always follows the manifest, so parallel and serial runs
+    serialize identically.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     entries = read_manifest(manifest_path)
-    tasks = [(entry, config) for entry in entries]
-    if jobs == 1 or len(tasks) <= 1:
-        outcomes = [_corpus_worker(task) for task in tasks]
-    else:
-        # the metrics import scipy where they call it; importing it here,
-        # before the fork, lets the workers share one copy
-        import scipy.sparse.csgraph  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
-        import scipy.special  # noqa: F401
+    # the metrics import scipy where they call it; importing it here,
+    # before any fork, lets the workers share one copy
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
 
-        # largest input first, so that the slowest entry does not start
-        # last; an unreadable file sorts as empty and its worker reports it
-        order = sorted(range(len(tasks)), key=lambda i: -_file_size(entries[i].path))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = dict(zip(order, pool.map(_corpus_worker, [tasks[i] for i in order])))
-        outcomes = [done[i] for i in range(len(tasks))]
+    # largest input first, so that the slowest entry does not start
+    # last; an unreadable file sorts as empty and its worker reports it
+    order = sorted(range(len(entries)), key=lambda i: -_file_size(entries[i].path))
+    tasks = [(entries[i], config) for i in order]
+    done = dict(zip(order, _pmap(_corpus_worker, (), tasks, jobs)))
+    outcomes = [done[i] for i in range(len(entries))]
     reports = []
     rows = []
     failures = 0

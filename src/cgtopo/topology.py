@@ -16,7 +16,7 @@ from math import fsum
 import numpy as np
 
 from . import paths
-from .graph import CallGraph, CallGraphError, InputError, _ranges
+from .graph import CallGraph, CallGraphError, InputError, _pmap, _ranges
 
 ASSORTATIVITY_MODES = ("in_in", "out_out", "total")
 
@@ -263,37 +263,50 @@ def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
     # arc a of node i leads the pairs it forms with the later arcs of i
     later = indptr[owner + 1] - np.arange(arcs) - 1
     classes = np.zeros((n, d_max + 2), dtype=np.int64)
-    slot = np.full(n, -1, dtype=np.intp)
     # a lead arc costs about eight int64 cells per pair it leads, and
     # its bitset row one uint64 word per 64 nodes
-    for start, stop in paths._batches(8 * later + ((n + 63) >> 6)):
-        count = later[start:stop]
-        lead = np.repeat(np.arange(start, stop), count)
-        # arc a pairs with a + 1, a + 2, ...
-        other = _ranges(np.arange(start + 1, stop + 1), count)
-        cls = np.zeros(lead.size, dtype=np.int64)
-        same = np.flatnonzero(block[lead] == block[other])
-        cls[same] = d_max + 1
-        row_arcs, row_of = np.unique(lead[same], return_inverse=True)
-        target = indices[other[same]]
-        pending = np.arange(same.size)
-        for depth, nodes, bits in paths._bitset_bfs(
-            indptr, indices, indices[row_arcs], owner[row_arcs], d_max
-        ):
-            slot[nodes] = np.arange(nodes.size)
-            at = slot[target[pending]]
-            slot[nodes] = -1
-            r = row_of[pending]
-            hit = at >= 0
-            hit[hit] = (
-                bits[r[hit] >> 6, at[hit]] >> (r[hit] & 63).astype(np.uint64)
-            ) & np.uint64(1) == 1
-            cls[same[pending[hit]]] = depth
-            pending = pending[~hit]
-            if pending.size == 0:
-                break
-        np.add.at(classes, (owner[lead], cls), 1)
+    spans = paths._batches(8 * later + ((n + 63) >> 6))
+    shared = (indptr, indices, owner, block, later, d_max)
+    for first, part in _pmap(_lead_classes, shared, spans):
+        classes[first : first + len(part)] += part
     return classes
+
+
+def _lead_classes(indptr, indices, owner, block, later, d_max, span):
+    """The pair classes of the lead arcs ``span = (start, stop)`` of
+    ``_pair_classes``, as ``(first, part)``: row r of ``part`` counts
+    the classes of node ``first + r``."""
+    start, stop = span
+    count = later[start:stop]
+    lead = np.repeat(np.arange(start, stop), count)
+    # arc a pairs with a + 1, a + 2, ...
+    other = _ranges(np.arange(start + 1, stop + 1), count)
+    cls = np.zeros(lead.size, dtype=np.int64)
+    same = np.flatnonzero(block[lead] == block[other])
+    cls[same] = d_max + 1
+    row_arcs, row_of = np.unique(lead[same], return_inverse=True)
+    target = indices[other[same]]
+    pending = np.arange(same.size)
+    slot = np.full(len(indptr) - 1, -1, dtype=np.intp)
+    for depth, nodes, bits in paths._bitset_bfs(
+        indptr, indices, indices[row_arcs], owner[row_arcs], d_max
+    ):
+        slot[nodes] = np.arange(nodes.size)
+        at = slot[target[pending]]
+        slot[nodes] = -1
+        r = row_of[pending]
+        hit = at >= 0
+        hit[hit] = (
+            bits[r[hit] >> 6, at[hit]] >> (r[hit] & 63).astype(np.uint64)
+        ) & np.uint64(1) == 1
+        cls[same[pending[hit]]] = depth
+        pending = pending[~hit]
+        if pending.size == 0:
+            break
+    first = owner[start]
+    part = np.zeros((owner[stop - 1] - first + 1, d_max + 2), dtype=np.int64)
+    np.add.at(part, (owner[lead] - first, cls), 1)
+    return first, part
 
 
 def _edge_blocks(indptr, indices) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Spectral threshold and SIS simulation."""
 
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -318,8 +319,11 @@ def test_sweep_symmetrizes_once(monkeypatch):
 
     original = cgtopo.graph.symmetrize
     calls = []
+    parent = os.getpid()
 
     def counting(g):
+        # a run in a pool worker would rebuild it once per worker
+        assert os.getpid() == parent, "a sweep worker symmetrized the graph"
         calls.append(g)
         return original(g)
 
@@ -329,6 +333,7 @@ def test_sweep_symmetrizes_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, counting)
+    monkeypatch.setattr(cgtopo.graph, "_cpus", lambda: 2)
     g = generate_random(RandomGraphSpec(model=GNM, n=80, m=240, seed=9))
     assert g.directed
     base = SisParams(beta=0.0, delta=0.2, initial_infected=(0,), max_steps=30, seed=5)

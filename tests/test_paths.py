@@ -24,7 +24,7 @@ from cgtopo import (
 from cgtopo import paths
 from cgtopo.fixtures import complete_graph, permutation_core_graph, star_graph
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
-from cgtopo.graph import CallGraph
+from cgtopo.graph import CallGraph, _pmap, largest_wcc, load_graph
 
 
 def _bfs_counts(adj, src):
@@ -429,6 +429,27 @@ def test_betweenness_identities_on_demo_gnm_2000():
     tails, heads = g.arcs()
     back = betweenness(CallGraph.from_id_pairs(g.n, np.column_stack((heads, tails))))
     assert sum(v > 0 for v in got) > 1900
+    for a, b in zip(got, back.values):
+        assert math.isclose(a, b, rel_tol=1e-12)
+
+
+@pytest.mark.kernel_scale
+def test_betweenness_identities_on_linux_sim(corpus_dir):
+    # the identities of the gnm-2000 test above, on the largest WCC of
+    # the kernel-scale demo graph: 2,881 Brandes blocks per run
+    g = largest_wcc(load_graph(corpus_dir / "linux-2.6.12-rc2-sim.edges", "edgelist"))
+    assert (g.n, g.m) == (20_165, 70_010)
+    got = betweenness(g).values
+    words = paths._batches(np.full((g.n + 63) >> 6, g.n))
+    interior = sum(
+        (depth - 1) * count
+        for counts in _pmap(paths._depth_counts, g.in_csr, words)
+        for depth, count in counts.items()
+    )
+    assert math.isclose(math.fsum(got), interior, rel_tol=1e-12)
+    tails, heads = g.arcs()
+    back = betweenness(CallGraph.from_id_pairs(g.n, np.column_stack((heads, tails))))
+    assert min(got) > 0
     for a, b in zip(got, back.values):
         assert math.isclose(a, b, rel_tol=1e-12)
 

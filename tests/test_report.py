@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing.pool
 
 import pytest
 
@@ -24,7 +25,7 @@ from cgtopo import (
 from cgtopo.cli import main
 from cgtopo.corpus import load_entry
 from cgtopo import report
-from cgtopo.fixtures import bridged_triangles, hierarchical_graph, star_graph, to_edge_list
+from cgtopo.fixtures import bridged_triangles, hierarchical_graph, to_edge_list
 from cgtopo.generators import GNM, generate_random
 from cgtopo.report import (
     CORPUS_DEFAULT_METRICS,
@@ -477,54 +478,45 @@ def test_read_manifest_round_trip(tmp_path):
     assert entries[0].path.endswith("a.edges")
 
 
-def _mixed_corpus(tmp_path):
-    """Four graphs of different file sizes, largest listed last, and an
-    entry whose file is missing."""
-    graphs = {
-        "star": star_graph(20),
-        "triangles": bridged_triangles(4),
-        "hierarchical": hierarchical_graph(2),
-        "gnm": generate_random(RandomGraphSpec(model=GNM, n=300, m=1200, seed=3)),
-    }
-    rows = []
-    for label, g in graphs.items():
-        (tmp_path / f"{label}.edges").write_text(to_edge_list(g), encoding="utf-8")
-        rows.append(f"{label}\tsynthetic\ttest\t{label}.edges")
-    rows.insert(2, "missing\tsynthetic\ttest\tmissing.edges")
-    manifest = tmp_path / "m.tsv"
-    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return manifest
-
-
-def test_corpus_pool_takes_largest_inputs_first(tmp_path, monkeypatch):
-    manifest = _mixed_corpus(tmp_path)
+def test_corpus_pool_takes_largest_inputs_first(mixed_corpus, monkeypatch):
+    manifest = mixed_corpus
     handed = []
+    sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        """Stands in for the fork pool: records what it is asked for and
+        runs the task in this process."""
+
+        def __init__(self, processes, initializer, initargs, *args, **kwargs):
+            sizes.append(processes)
+            self.fn, self.shared = initargs
+
+        def imap(self, call, tasks):
+            handed.extend(entry.label for entry, _ in tasks)
+            return (self.fn(*self.shared, task) for task in tasks)
+
+        def close(self):
             pass
 
-        def __enter__(self):
-            return self
+        def terminate(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, tasks):
-            handed.extend(entry.label for entry, _ in tasks)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(report, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", SerialPool)
     cfg = AnalysisConfig(metrics=("degree", "components"), seed=7)
-    result = analyze_corpus(manifest, cfg, jobs=2)
+    result = analyze_corpus(manifest, cfg, jobs=64)
+    # one worker per entry at most, however many jobs are asked for
+    assert sizes == [5]
     assert handed == ["gnm", "hierarchical", "star", "triangles", "missing"]
     labels = [row["label"] for row in result["summary"]]
     assert labels == ["star", "triangles", "missing", "hierarchical", "gnm"]
     assert result["failures"] == 1 and "missing.edges" in result["summary"][2]["error"]
 
 
-def test_corpus_outputs_identical_at_any_worker_count(tmp_path):
-    manifest = _mixed_corpus(tmp_path)
+def test_corpus_outputs_identical_at_any_worker_count(mixed_corpus):
+    manifest = mixed_corpus
     cfg = AnalysisConfig(metrics=tuple(CORPUS_DEFAULT_METRICS), seed=7)
     outputs = set()
     for jobs in (1, 2, 3):
