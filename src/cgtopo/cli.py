@@ -36,6 +36,7 @@ from .report import (
     to_json,
     write_csv_bundle,
     _csv_text,
+    _section,
 )
 
 EXIT_OK = 0
@@ -267,17 +268,8 @@ def _run_sweep(args) -> int:
         ]
         _emit(_csv_text(["ratio", "extinction_prob", "runs"], rows), args.out, "sweep.csv")
     else:
-        payload = {
-            "ratios": list(sweep.ratios),
-            "extinction_prob": list(sweep.extinction_prob),
-            "runs_per_ratio": sweep.runs_per_ratio,
-            "params": {
-                "delta": args.delta,
-                "max_steps": args.steps,
-                "seed": args.seed,
-            },
-        }
-        _emit(to_json(payload), args.out, "sweep.json")
+        params = {"delta": args.delta, "max_steps": args.steps, "seed": args.seed}
+        _emit(to_json({**_section(sweep), "params": params}), args.out, "sweep.json")
     return EXIT_OK
 
 

@@ -42,7 +42,6 @@ class DegreeSequence:
 
 @dataclass(frozen=True)
 class DegreeSummary:
-    mode: str
     mean: float
     variance: float
 
@@ -101,7 +100,7 @@ def degree_summary(seq: DegreeSequence) -> DegreeSummary:
         variance = 0.0
     else:
         variance = math.fsum((v - mean) ** 2 for v in seq.values) / (seq.n - 1)
-    return DegreeSummary(mode=seq.mode, mean=mean, variance=variance)
+    return DegreeSummary(mean=mean, variance=variance)
 
 
 def _power_law_loglik(gamma: float, log_sum: float, n_tail: int, x_min: int) -> float:

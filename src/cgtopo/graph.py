@@ -84,12 +84,6 @@ class CallGraph:
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         return _rows(*self.in_csr) if self.directed else self.out_adj
 
-    def successors(self, u: int) -> tuple[int, ...]:
-        return self.out_adj[u]
-
-    def predecessors(self, u: int) -> tuple[int, ...]:
-        return self.in_adj[u]
-
     def has_edge(self, u: int, v: int) -> bool:
         row = self.indices[self.indptr[u] : self.indptr[u + 1]]
         i = np.searchsorted(row, v)
@@ -386,7 +380,9 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
 
     Edges are ordered so node names first appear in id order; reloading
     the text therefore reassigns identical ids.  Isolated nodes cannot
-    be represented in the format and raise unless ``drop_isolated``.
+    be represented in the format and raise unless ``drop_isolated``; a
+    written name that is not one whitespace-free token, or that starts
+    a line with ``#`` (a comment), always raises.
     """
     n = g.n
     # the smallest neighbour of each node, either direction; n if none
@@ -427,6 +423,12 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
         (lead_codes, codes[~np.isin(codes, lead_codes, assume_unique=True)])
     )
     names = g.names
+    callers = np.zeros(n, dtype=bool)
+    callers[codes // n] = True
+    for i in np.flatnonzero(first < n).tolist():
+        name = names[i]
+        if name.split() != [name] or (callers[i] and name.startswith("#")):
+            raise InputError(f"edge-list format cannot carry node name {name!r}")
     pairs = zip((codes // n).tolist(), (codes % n).tolist())
     return "\n".join(f"{names[a]} {names[b]}" for a, b in pairs) + "\n"
 

@@ -8,7 +8,15 @@ from math import fsum
 
 import numpy as np
 
-from .graph import CallGraph, InputError, _pmap, _ranges, components, weak_components
+from .graph import (
+    CallGraph,
+    InputError,
+    _pmap,
+    _ranges,
+    _unique,
+    components,
+    weak_components,
+)
 
 # Working-set bound of the batched traversals, in array cells: a bitset
 # batch keeps about this many uint64 words per node-indexed array and
@@ -99,7 +107,6 @@ class BetweennessResult:
 class BetweennessDistribution:
     zero_count: int
     buckets: tuple[tuple[float, float, int], ...]
-    ccdf: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -169,12 +176,11 @@ def betweenness(g: CallGraph) -> BetweennessResult:
     are accumulated walking the DAG levels in reverse.
     """
     n = g.n
-    indptr, indices = (a.astype(np.int64) for a in g.csr)
     scores = np.zeros(n)
     # the blocks are added in span order, so the sum is the same bits
     # whichever worker computed each block
-    blocks = _batches(np.full(n, max(n, indices.size)))
-    for block in _pmap(_brandes_block, (indptr, indices), blocks):
+    blocks = _batches(np.full(n, max(n, g.indices.size)))
+    for block in _pmap(_brandes_block, g.csr, blocks):
         scores += block
     return BetweennessResult(values=tuple(scores.tolist()))
 
@@ -185,7 +191,8 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
 
     Cells are flat codes b*n + v for block row b (source ``sources[b]``)
     and node v.  Path counts sigma are float64: exact below 2**53, and
-    they round instead of wrapping above it.
+    they round instead of wrapping above it; being integer sums there,
+    they do not depend on the frontier order.
     """
     n = len(indptr) - 1
     degree = np.diff(indptr)
@@ -194,7 +201,6 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
     roots = np.arange(b) * n + sources
     dist = np.full(b * n, -1, dtype=np.int32)
     sigma = np.zeros(b * n)
-    stamp = np.empty(b * n, dtype=np.int64)
     dist[roots] = 0
     sigma[roots] = 1.0
     # per level: the frontier codes, and the DAG arcs out of it as
@@ -214,11 +220,7 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
         dist[child] = depth
         np.add.at(sigma, child, sigma[front][parent])
         levels.append((front, parent, child))
-        # one entry per distinct child: the occurrence whose index the
-        # stamp kept
-        order = np.arange(child.size)
-        stamp[child] = order
-        front = child[stamp[child] == order]
+        front = _unique(child)
     delta = np.zeros(b * n)
     for front, parent, child in reversed(levels):
         coeff = (1.0 + delta[child]) / sigma[child]
@@ -229,23 +231,19 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
 
 
 def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:
-    """Log-spaced histogram (zeros bucketed separately) plus tail CCDF."""
+    """Log-spaced histogram, zeros bucketed separately."""
     values = np.array(res.values)
     positives = np.sort(values[values > 0])
     zero_count = values.size - positives.size
     if not positives.size:
-        return BetweennessDistribution(zero_count=zero_count, buckets=(), ccdf=())
+        return BetweennessDistribution(zero_count=zero_count, buckets=())
     # doubling bucket edges from the smallest positive value
     edges = [float(positives[0])]
     while edges[-1] <= positives[-1]:
         edges.append(edges[-1] * 2.0)
     counts = np.diff(np.searchsorted(positives, edges)).tolist()
-    distinct, repeats = np.unique(positives, return_counts=True)
-    tail = (positives.size - np.cumsum(repeats)).tolist()
     return BetweennessDistribution(
-        zero_count=zero_count,
-        buckets=tuple(zip(edges, edges[1:], counts)),
-        ccdf=tuple((v, t / positives.size) for v, t in zip(distinct.tolist(), tail)),
+        zero_count=zero_count, buckets=tuple(zip(edges, edges[1:], counts))
     )
 
 

@@ -4,8 +4,9 @@ A report is a JSON-native dict with a fixed top-level key set; every
 selected metric appears exactly once, either as a value object or as a
 {"skipped": reason} marker.  Undefined quantities inside a metric are
 tagged nulls (value null plus a reason string), never NaN.  A section
-computed as a result dataclass holds exactly that dataclass's fields.
-Reports serialize deterministically: same input and config, same bytes.
+is its result, turned into report data by one rule (``_section``), so a
+result dataclass's section holds exactly its fields.  Reports serialize
+deterministically: same input and config, same bytes.
 
 Metrics other than component statistics run on the largest weakly
 connected component; component statistics describe the full graph.
@@ -17,7 +18,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -76,6 +77,13 @@ _SUMMARY_PATHS = {
 }
 _SUMMARY_COLUMNS = ("label", "language", "domain", "error", *_SUMMARY_PATHS)
 
+# baseline measure -> key path of its value in a report
+_BASELINE_PATHS = {
+    "global_c": ("clustering", "global_c"),
+    "ell": ("geodesic", "harmonic_mean_ell"),
+    "varrho": ("reciprocity", "varrho"),
+}
+
 
 class ConfigError(CallGraphError):
     """Invalid analysis configuration."""
@@ -111,23 +119,36 @@ class AnalysisConfig:
             raise ConfigError(f"--seed must be non-negative, got {self.seed}")
 
 
+def _section(node):
+    """Report data of a result, all the way down: a dataclass becomes its
+    fields, a dict key the string JSON writes for it (so JSON and the CSV
+    bundle sort keys alike) and a tuple a list, so the data equals its
+    JSON reload."""
+    if is_dataclass(node):
+        node = {f.name: getattr(node, f.name) for f in fields(node)}
+    if isinstance(node, dict):
+        return {str(k): _section(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_section(v) for v in node]
+    return node
+
+
 def _attempt(compute, *args) -> tuple[object, dict]:
-    """(result, section): ``compute(*args)`` and its report section, the
-    result's fields for a dataclass; (None, a skip marker) if it raises."""
+    """(result, section): ``compute(*args)`` and its report section;
+    (None, a skip marker) if it raises."""
     try:
         result = compute(*args)
     except CallGraphError as exc:
         return None, {"skipped": str(exc)}
-    return result, asdict(result) if is_dataclass(result) else result
+    return result, _section(result)
 
 
 def _degree_section(wcc: CallGraph, extras: dict) -> dict:
     section = {}
     for mode in ("in", "out"):
         seq = deg.degree_sequence(wcc, mode)
-        summary = deg.degree_summary(seq)
         entry: dict = {
-            "summary": {"mean": summary.mean, "variance": summary.variance},
+            "summary": deg.degree_summary(seq),
             "zero_fraction": sum(1 for v in seq.values if v == 0) / seq.n,
         }
         extras[f"ccdf_{mode}"] = deg.empirical_ccdf(seq)
@@ -146,37 +167,14 @@ def _degree_section(wcc: CallGraph, extras: dict) -> dict:
     return section
 
 
-def _assortativity_section(wcc: CallGraph) -> dict:
-    section = {}
-    for mode in topology.ASSORTATIVITY_MODES:
-        res = topology.assortativity(wcc, mode)
-        section[mode] = {"rho": res.rho, "reason": res.reason}
-    return section
-
-
 def _clustering_section(wcc: CallGraph) -> dict:
     res = topology.clustering(wcc)
     return {
         "global_c": res.global_c,
         "reason": res.reason,
         "defined_count": res.defined_count,
-        "by_degree": {str(k): v for k, v in res.by_degree.items()},
+        "by_degree": res.by_degree,
         "slope_fit": _attempt(topology.clustering_by_degree_fit, res)[1],
-    }
-
-
-def _profile_section(wcc: CallGraph, d_max: int) -> dict:
-    prof = topology.clustering_profile(wcc, d_max)
-    return {
-        "d_max": prof.d_max,
-        "aggregate": {str(d): v for d, v in prof.aggregate.items()},
-        "beyond_fraction": prof.beyond_fraction,
-        "disconnected_fraction": prof.disconnected_fraction,
-        "eligible_count": prof.eligible_count,
-        "cells": {
-            str(d): {str(k): v for k, v in row.items()}
-            for d, row in prof.cells.items()
-        },
     }
 
 
@@ -192,8 +190,8 @@ def _betweenness_section(wcc: CallGraph, extras: dict) -> dict:
         "max": max(res.values),
         "mean": sum(res.values) / n,
         "zero_fraction": dist.zero_count / n,
-        "top": [[name, value] for name, value in ranked[:10]],
-        "histogram": [[lo, hi, count] for lo, hi, count in dist.buckets],
+        "top": ranked[:10],
+        "histogram": dist.buckets,
     }
 
 
@@ -236,10 +234,13 @@ def analyze_graph(
     }
     runners = {
         "degree": lambda: _degree_section(wcc, extras),
-        "assortativity": lambda: _assortativity_section(wcc),
+        "assortativity": lambda: {
+            mode: topology.assortativity(wcc, mode)
+            for mode in topology.ASSORTATIVITY_MODES
+        },
         "scale_free": lambda: topology.scale_free_metric(wcc),
         "clustering": lambda: _clustering_section(wcc),
-        "clustering_profile": lambda: _profile_section(wcc, config.d_max),
+        "clustering_profile": lambda: topology.clustering_profile(wcc, config.d_max),
         "geodesic": lambda: paths.harmonic_geodesic_mean(
             wcc, directed=config.directed_geodesics
         ),
@@ -343,7 +344,7 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
             reports.append({"label": entry.label, "report": None, "error": payload})
             rows.append(summary_row(entry, None, payload))
     pairs = [(row["n"], row["lambda1"]) for row in rows if row["lambda1"] is not None]
-    lambda_trend = asdict(epidemic.lambda_vs_size(pairs)) if pairs else None
+    lambda_trend = _section(epidemic.lambda_vs_size(pairs)) if pairs else None
     return {
         "version": VERSION,
         "config": {
@@ -364,9 +365,10 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
     random ensemble of matching size.
 
     Each replicate is generated from a seed derived from (spec.seed,
-    replicate index), analyzed on its largest WCC, and summarized as
+    replicate index), analyzed by ``analyze_graph``, and summarized as
     mean, sample standard deviation, and observed/mean ratio.  Replicate
-    geodesics follow edge directions when the report's do.
+    geodesics follow edge directions when the report's do.  A measure a
+    replicate leaves undefined is not sampled.
     """
     if replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
@@ -377,25 +379,21 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
             f"baseline spec (n={spec.n}, m={spec.m}) does not match graph "
             f"(n={n}, m={m})"
         )
-    directed = report["config"]["directed_geodesics"]
-    samples: dict[str, list[float]] = {"global_c": [], "ell": [], "varrho": []}
+    config = AnalysisConfig(
+        metrics=("clustering", "geodesic", "reciprocity"),
+        directed_geodesics=report["config"]["directed_geodesics"],
+    )
+    samples: dict[str, list[float]] = {key: [] for key in _BASELINE_PATHS}
     for r in range(replicates):
         sub_seed = int(
             np.random.SeedSequence([spec.seed, r]).generate_state(1, np.uint64)[0]
         )
-        h = largest_wcc(generate_random(replace(spec, seed=sub_seed)))
-        c = topology.clustering(h).global_c
-        if c is not None:
-            samples["global_c"].append(c)
-        ell = paths.harmonic_geodesic_mean(h, directed=directed).harmonic_mean_ell
-        if ell is not None:
-            samples["ell"].append(ell)
-        samples["varrho"].append(topology.reciprocity(h).varrho)
-    observed = {
-        "global_c": _scalar(report, "clustering", "global_c"),
-        "ell": _scalar(report, "geodesic", "harmonic_mean_ell"),
-        "varrho": _scalar(report, "reciprocity", "varrho"),
-    }
+        h = generate_random(replace(spec, seed=sub_seed))
+        replicate, _, _ = analyze_graph(h, config, f"replicate {r}")
+        for key, key_path in _BASELINE_PATHS.items():
+            value = _scalar(replicate, *key_path)
+            if value is not None:
+                samples[key].append(value)
     metrics = {}
     for key, values in samples.items():
         if len(values) >= 2:
@@ -406,7 +404,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
             mean, std = values[0], None
         else:
             mean = std = None
-        obs = observed[key]
+        obs = _scalar(report, *_BASELINE_PATHS[key])
         ratio = obs / mean if (obs is not None and mean) else None
         metrics[key] = {
             "observed": obs,
@@ -416,7 +414,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
             "ratio": ratio,
         }
     return {
-        "spec": asdict(spec),
+        "spec": _section(spec),
         "replicates": replicates,
         "metrics": metrics,
     }

@@ -29,7 +29,6 @@ class InsufficientDataError(CallGraphError):
 
 @dataclass(frozen=True)
 class AssortativityResult:
-    mode: str
     rho: float | None
     reason: str | None = None
 
@@ -106,9 +105,9 @@ def assortativity(g: CallGraph, mode: str) -> AssortativityResult:
     denominator = m3 - m2 * m2
     if denominator == 0.0:
         return AssortativityResult(
-            mode=mode, rho=None, reason="zero variance of edge-endpoint degrees"
+            rho=None, reason="zero variance of edge-endpoint degrees"
         )
-    return AssortativityResult(mode=mode, rho=numerator / denominator)
+    return AssortativityResult(rho=numerator / denominator)
 
 
 def scale_free_metric(g: CallGraph) -> ScaleFreeResult:

@@ -36,3 +36,10 @@ def mixed_corpus(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return manifest
+
+
+def rows(indptr, indices) -> tuple[tuple[int, ...], ...]:
+    """The rows of a CSR graph, ``rows(*g.csr)`` or ``rows(*g.in_csr)``:
+    the adjacency the oracles read, taken from the stored arrays."""
+    flat, ptr = indices.tolist(), indptr.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))

@@ -47,6 +47,8 @@ from cgtopo.fixtures import (
 from cgtopo.generators import GNM, RandomGraphSpec, generate_random, sample_power_law
 from cgtopo.report import CORPUS_DEFAULT_METRICS, METRICS, corpus_summary_csv
 
+from conftest import rows
+
 
 def _bfs_counts(adj, src):
     dist = {src: 0}
@@ -74,7 +76,7 @@ def test_criterion_01_betweenness_matches_brute_force():
         m = 2 + seed % (max_m - 2)
         g = generate_random(RandomGraphSpec(model=GNM, n=n, m=m, seed=seed))
         got = betweenness(g).values
-        tables = [_bfs_counts(g.out_adj, s) for s in range(g.n)]
+        tables = [_bfs_counts(rows(*g.csr), s) for s in range(g.n)]
         want = [0.0] * g.n
         for s in range(g.n):
             dist_s, sigma_s = tables[s]
@@ -101,8 +103,8 @@ def test_criterion_02_scc_matches_reachability_brute_force():
         n = 5 + seed % 46
         m = min(2 * n, n * (n - 1))
         g = generate_random(RandomGraphSpec(model=GNM, n=n, m=m, seed=1000 + seed))
-        fwd = [frozenset(_bfs_counts(g.out_adj, s)[0]) for s in range(g.n)]
-        bwd = [frozenset(_bfs_counts(g.in_adj, s)[0]) for s in range(g.n)]
+        fwd = [frozenset(_bfs_counts(rows(*g.csr), s)[0]) for s in range(g.n)]
+        bwd = [frozenset(_bfs_counts(rows(*g.in_csr), s)[0]) for s in range(g.n)]
         want = {frozenset(fwd[v] & bwd[v]) for v in range(g.n)}
         got = {frozenset(c) for c in strongly_connected_components(g)}
         assert got == want
@@ -112,9 +114,10 @@ def test_criterion_02_scc_matches_reachability_brute_force():
 def test_criterion_03_spectral_radius_against_dense_oracle():
     def dense_lambda(g):
         und = g.undirected
+        adj = rows(*und.csr)
         a = np.zeros((und.n, und.n))
         for u in range(und.n):
-            for v in und.out_adj[u]:
+            for v in adj[u]:
                 a[u, v] = 1.0
         best = 0.0
         seen = set()
@@ -124,7 +127,7 @@ def test_criterion_03_spectral_radius_against_dense_oracle():
             comp, stack = {s}, [s]
             while stack:
                 x = stack.pop()
-                for y in und.out_adj[x]:
+                for y in adj[x]:
                     if y not in comp:
                         comp.add(y)
                         stack.append(y)
@@ -206,8 +209,8 @@ def test_criterion_06_clustering_profile_identity():
     for seed in range(5):
         g = generate_random(RandomGraphSpec(model=GNM, n=60, m=240, seed=seed))
         und = symmetrize(g)
-        for v in range(und.n):
-            k = len(und.out_adj[v])
+        for v, row in enumerate(rows(*und.csr)):
+            k = len(row)
             if k < 2:
                 continue
             assert sum(neighbour_pair_distances(und, v).values()) == k * (k - 1) // 2

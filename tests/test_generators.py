@@ -13,6 +13,8 @@ from cgtopo.fixtures import (
 from cgtopo.generators import ERASED_CONFIG, GNM, _gnm_edges
 from cgtopo.graph import CallGraph, InputError, to_edge_list
 
+from conftest import rows
+
 
 def test_gnm_exact_edge_count_and_simplicity():
     for seed in range(100):
@@ -29,15 +31,15 @@ def test_gnm_exact_edge_count_and_simplicity():
 def test_gnm_complete_graph_boundary():
     g = generate_random(RandomGraphSpec(model=GNM, n=10, m=90, seed=7))
     assert g.m == 90
-    assert all(len(row) == 9 for row in g.out_adj)
+    assert all(len(row) == 9 for row in rows(*g.csr))
 
 
 def test_gnm_deterministic():
     a = generate_random(RandomGraphSpec(model=GNM, n=1000, m=5000, seed=42))
     b = generate_random(RandomGraphSpec(model=GNM, n=1000, m=5000, seed=42))
-    assert a.out_adj == b.out_adj
+    assert rows(*a.csr) == rows(*b.csr)
     c = generate_random(RandomGraphSpec(model=GNM, n=1000, m=5000, seed=43))
-    assert a.out_adj != c.out_adj
+    assert rows(*a.csr) != rows(*c.csr)
 
 
 def test_gnm_rejects_impossible_m():
@@ -64,7 +66,7 @@ def test_erased_configuration_simple_and_deterministic():
     spec = RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=5)
     a = generate_random(spec)
     b = generate_random(spec)
-    assert a.out_adj == b.out_adj
+    assert rows(*a.csr) == rows(*b.csr)
     seen = set()
     for u, v in a.edges():
         assert u != v
@@ -74,7 +76,7 @@ def test_erased_configuration_simple_and_deterministic():
 
 def test_erased_configuration_heavy_indegree_tail():
     g = generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=5000, gamma=2.5, seed=9))
-    indeg = sorted((len(s) for s in g.in_adj), reverse=True)
+    indeg = sorted((len(s) for s in rows(*g.in_csr)), reverse=True)
     # a power-law tail puts the max far above the mean
     assert indeg[0] > 10 * (sum(indeg) / len(indeg))
 
@@ -100,8 +102,8 @@ def test_permutation_core_graph_exact_counts_no_isolated():
     g = permutation_core_graph(500, 1700, seed=3)
     assert g.n == 500
     assert g.m == 1700
-    for v in range(g.n):
-        assert g.out_adj[v] or g.in_adj[v]
+    for out_row, in_row in zip(rows(*g.csr), rows(*g.in_csr)):
+        assert out_row or in_row
 
 
 def test_demo_corpus_manifests(corpus_dir):

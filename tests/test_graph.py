@@ -1,5 +1,7 @@
 """Graph construction, parsing, serialization, and component helpers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from cgtopo.fixtures import permutation_core_graph
 from cgtopo.graph import _ranges
 from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
 
+from conftest import rows
+
 
 def test_ids_follow_first_appearance():
     g = load_edge_list("b a\na c\n")
@@ -40,11 +44,11 @@ def test_duplicates_and_self_loops_dropped_with_counts():
 
 def test_adjacency_is_sorted_and_transposed():
     g = load_edge_list("a c\na b\nc b\n")
-    for row in g.out_adj:
+    for row in rows(*g.csr):
         assert list(row) == sorted(row)
-    # in_adj must be the exact transpose of out_adj
-    arcs = {(u, v) for u in range(g.n) for v in g.out_adj[u]}
-    rev = {(v, u) for v in range(g.n) for u in g.in_adj[v]}
+    # the in-arc CSR must be the exact transpose of the out-arc CSR
+    arcs = {(u, v) for u, row in enumerate(rows(*g.csr)) for v in row}
+    rev = {(v, u) for v, row in enumerate(rows(*g.in_csr)) for u in row}
     assert arcs == {(b, a) for a, b in rev}
 
 
@@ -55,8 +59,6 @@ def test_csr_arrays_and_the_sparse_adjacency_share_them():
     assert indptr.dtype == indices.dtype == np.int32
     assert indptr.tolist() == [0, 0, 1, 3, 4, 4, 5]
     assert indices.tolist() == [3, 1, 5, 1, 3]
-    for u in range(g.n):
-        assert tuple(indices[indptr[u] : indptr[u + 1]]) == g.out_adj[u]
     a = g.adjacency
     assert a.shape == (6, 6) and a.nnz == 5 and set(a.data) == {1.0}
     assert np.shares_memory(a.indptr, indptr) and np.shares_memory(a.indices, indices)
@@ -69,8 +71,8 @@ def test_has_edge_and_neighbours():
     g = load_edge_list("a b\nb c\n")
     assert g.has_edge(0, 1)
     assert not g.has_edge(1, 0)
-    assert g.successors(1) == (2,)
-    assert g.predecessors(2) == (1,)
+    assert rows(*g.csr)[1] == (2,)
+    assert rows(*g.in_csr)[2] == (1,)
 
 
 def test_empty_input_rejected():
@@ -152,7 +154,7 @@ def test_round_trip_preserves_ids_and_text():
     assert to_edge_list(g) == text
     again = load_edge_list(to_edge_list(g))
     assert again.names == g.names
-    assert again.out_adj == g.out_adj
+    assert rows(*again.csr) == rows(*g.csr)
 
 
 def test_round_trip_arbitrary_graph():
@@ -160,8 +162,8 @@ def test_round_trip_arbitrary_graph():
     g = load_edge_list(text)
     again = load_edge_list(to_edge_list(g))
     assert again.names == g.names
-    assert again.out_adj == g.out_adj
-    assert again.in_adj == g.in_adj
+    assert rows(*again.csr) == rows(*g.csr)
+    assert rows(*again.in_csr) == rows(*g.in_csr)
 
 
 def test_serializer_rejects_isolated_nodes_unless_dropped():
@@ -170,6 +172,31 @@ def test_serializer_rejects_isolated_nodes_unless_dropped():
         to_edge_list(g)
     text = to_edge_list(g, drop_isolated=True)
     assert "lonely" not in text
+
+
+@pytest.mark.parametrize(
+    "dot, bad",
+    [
+        # a caller named "#c" would write a comment line
+        ('digraph x { a -> b; "#c" -> b; }', "#c"),
+        ('digraph x { "foo bar" -> baz; }', "foo bar"),
+        ('digraph x { a -> "tab\tb"; }', "tab\tb"),
+    ],
+)
+def test_serializer_rejects_names_the_format_cannot_carry(dot, bad):
+    g = load_dot_subset(dot)
+    for drop_isolated in (False, True):
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            to_edge_list(g, drop_isolated=drop_isolated)
+
+
+def test_serializer_keeps_a_callee_named_with_a_hash():
+    # "#b" only ever follows a caller on its line, so it reloads intact
+    g = load_dot_subset('digraph x { a -> "#b"; "#b" -> "#b"; }')
+    text = to_edge_list(g)
+    assert text == "a #b\n"
+    again = load_edge_list(text)
+    assert again.names == g.names and rows(*again.csr) == rows(*g.csr)
 
 
 def test_symmetrize_doubles_arcs_and_keeps_m():
@@ -215,7 +242,7 @@ def test_ids_follow_first_appearance_then_extra_nodes():
     )
     assert g.names == ("b", "a", "c", "d", "z", "y")
     assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 0)]
-    assert not g.out_adj[4] and not g.in_adj[5]
+    assert not rows(*g.csr)[4] and not rows(*g.in_csr)[5]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -265,12 +292,12 @@ def test_out_of_range_error_names_the_first_bad_pair():
 def test_generator_input_is_accepted():
     g = CallGraph.from_id_pairs(3, ((i, (i + 1) % 3) for i in range(3)))
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 0)]
-    assert g.in_adj == ((2,), (0,), (1,))
+    assert rows(*g.in_csr) == ((2,), (0,), (1,))
 
 
 def _reference_edge_list(g):
-    """The serializer's ordering spelt out over the tuple views."""
-    incident = [set(g.out_adj[i]) | set(g.in_adj[i]) for i in range(g.n)]
+    """The serializer's ordering spelt out over the adjacency rows."""
+    incident = [set(a) | set(b) for a, b in zip(rows(*g.csr), rows(*g.in_csr))]
     introduced = [False] * g.n
     lines, emitted = [], set()
 

@@ -273,6 +273,25 @@ def test_baseline_requires_two_replicates(tmp_path, sample_path):
         compare_baseline(report, RandomGraphSpec(model=GNM, n=7, m=6, seed=-1), 2)
 
 
+def test_cli_baseline_on_an_edgeless_graph_samples_nothing(tmp_path, capsys):
+    # two nodes and no edge: every replicate is edgeless too, and each
+    # measure is undefined on it, as on the observed graph
+    p = tmp_path / "loops.edges"
+    p.write_text("a a\nb b\n", encoding="utf-8")
+    assert main(["baseline", str(p), "--replicates", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["geodesic"] == {"skipped": "geodesic mean needs n >= 2"}
+    assert report["baseline"]["replicates"] == 3
+    for key in ("global_c", "ell", "varrho"):
+        assert report["baseline"]["metrics"][key] == {
+            "observed": None,
+            "baseline_mean": None,
+            "baseline_std": None,
+            "samples": 0,
+            "ratio": None,
+        }
+
+
 def test_config_validation_errors(sample_path):
     with pytest.raises(ConfigError):
         analyze(_config(sample_path, metrics=("nope",)))

@@ -30,8 +30,10 @@ from cgtopo.fixtures import (
 )
 from cgtopo import paths, topology
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
-from cgtopo.graph import CallGraph
+from cgtopo.graph import CallGraph, largest_wcc, load_graph
 from cgtopo.topology import DISCONNECTED, ClusteringProfile, ScaleFreeResult
+
+from conftest import rows
 
 
 def test_scale_free_closed_forms():
@@ -44,10 +46,9 @@ def test_scale_free_s_and_s_max_are_exact_integers():
     g = bridged_triangles(4)
     res = scale_free_metric(g)
     und = symmetrize(g)
-    deg = [len(row) for row in und.out_adj]
-    s_direct = sum(
-        deg[u] * deg[v] for u in range(und.n) for v in und.out_adj[u] if u < v
-    )
+    adj = rows(*und.csr)
+    deg = [len(row) for row in adj]
+    s_direct = sum(deg[u] * deg[v] for u, row in enumerate(adj) for v in row if u < v)
     assert res.s == s_direct
     assert res.s_max == sum(d**3 for d in deg) // 2
     assert 0.0 <= res.S <= 1.0
@@ -79,7 +80,7 @@ def test_assortativity_matches_direct_pearson():
     # each directed edge contributes (j,k) and (k,j)
     g = generate_random(RandomGraphSpec(model=GNM, n=40, m=120, seed=1))
     und = symmetrize(g)
-    deg = [len(row) for row in und.out_adj]
+    deg = [len(row) for row in rows(*und.csr)]
     xs, ys = [], []
     for u, v in g.edges():
         xs.extend((deg[u], deg[v]))
@@ -119,7 +120,7 @@ def test_clustering_star_all_zero():
 def test_clustering_matches_triangle_counting_oracle():
     g = generate_random(RandomGraphSpec(model=GNM, n=30, m=90, seed=3))
     und = symmetrize(g)
-    neigh = [set(row) for row in und.out_adj]
+    neigh = [set(row) for row in rows(*und.csr)]
     res = clustering(g)
     for v, c in enumerate(res.per_node):
         if c is None:
@@ -175,8 +176,8 @@ def test_profile_row_one_equals_by_degree():
 def test_neighbour_pair_mass_conserved():
     g = generate_random(RandomGraphSpec(model=GNM, n=40, m=140, seed=2))
     und = symmetrize(g)
-    for v in range(und.n):
-        k = len(und.out_adj[v])
+    for v, row in enumerate(rows(*und.csr)):
+        k = len(row)
         if k < 2:
             continue
         dist = neighbour_pair_distances(und, v)
@@ -208,7 +209,7 @@ def _reference_profile(g, d_max):
     cell_values = {d: {} for d in range(1, d_max + 1)}
     aggregate_values = {d: [] for d in range(1, d_max + 1)}
     beyond_values, disconnected_values = [], []
-    for i, row in enumerate(h.out_adj):
+    for i, row in enumerate(rows(*h.csr)):
         k = len(row)
         if k < 2:
             continue
@@ -294,7 +295,7 @@ def test_edge_blocks_match_networkx():
         labels = topology._edge_blocks(csr.indptr, csr.indices)
         arc = {
             (u, v): int(labels[csr.indptr[u] + a])
-            for u, row in enumerate(h.out_adj)
+            for u, row in enumerate(rows(*h.csr))
             for a, v in enumerate(row)
         }
         got: dict[int, set] = {}
@@ -315,9 +316,10 @@ def test_edge_blocks_beyond_int32_arc_codes():
     csr = h.adjacency
     labels = topology._edge_blocks(csr.indptr, csr.indices)
     assert len(set(labels.tolist())) == 17_000 + 16_999
+    adj = rows(*h.csr)
     for u in (0, 3, h.n - 3, h.n - 1):
-        for a, v in enumerate(h.out_adj[u]):
-            back = csr.indptr[v] + h.out_adj[v].index(u)
+        for a, v in enumerate(adj[u]):
+            back = csr.indptr[v] + adj[v].index(u)
             assert labels[csr.indptr[u] + a] == labels[back]
 
 
@@ -379,7 +381,7 @@ def test_assortativity_matches_corrcoef_on_large_graphs(g, mode):
     deg = {
         "in_in": np.bincount([v for _, v in g.edges()], minlength=g.n),
         "out_out": np.bincount([u for u, _ in g.edges()], minlength=g.n),
-        "total": np.array([len(row) for row in g.undirected.out_adj]),
+        "total": np.array([len(row) for row in rows(*g.undirected.csr)]),
     }[mode]
     arcs = np.array(list(g.edges()))
     x = np.concatenate((deg[arcs[:, 0]], deg[arcs[:, 1]]))
@@ -400,3 +402,24 @@ def test_reciprocity_and_scale_free_match_set_counts(g):
     s_max = sum(d**3 for d in deg.values()) // 2
     assert scale_free_metric(g) == ScaleFreeResult(s=float(s), s_max=float(s_max), S=s / s_max)
 
+
+@pytest.mark.kernel_scale
+def test_pair_classes_on_linux_sim(corpus_dir):
+    # the profile identities on the largest WCC of the kernel-scale demo
+    # graph, and 50 seeded nodes against the one-node oracle
+    g = largest_wcc(load_graph(corpus_dir / "linux-2.6.12-rc2-sim.edges", "edgelist"))
+    assert (g.n, g.m) == (20_165, 70_010)
+    h = g.undirected
+    d_max = 6
+    indptr, indices = h.csr
+    classes = topology._pair_classes(indptr, indices, d_max)
+    k = np.diff(indptr).astype(np.int64)
+    assert classes.sum(axis=1).tolist() == (k * (k - 1) // 2).tolist()
+    assert classes[:, 1].tolist() == topology._triangles(h).tolist()
+    eligible = np.flatnonzero(k >= 2)
+    sample = np.random.default_rng(7).choice(eligible, 50, replace=False)
+    for v in sample.tolist():
+        dist = neighbour_pair_distances(h, v)
+        beyond = sum(c for d, c in dist.items() if d != DISCONNECTED and d > d_max)
+        want = [dist[DISCONNECTED], *(dist[d] for d in range(1, d_max + 1)), beyond]
+        assert classes[v].tolist() == want
