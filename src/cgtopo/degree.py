@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, InputError
+from .graph import CallGraph, CallGraphError, InputError, _unique
 
 _GAMMA_BOUNDS = (1.0 + 1e-9, 50.0)
 
@@ -103,10 +103,73 @@ def degree_summary(seq: DegreeSequence) -> DegreeSummary:
     return DegreeSummary(mean=mean, variance=variance)
 
 
-def _power_law_loglik(gamma: float, log_sum: float, n_tail: int, x_min: int) -> float:
-    from scipy.special import zeta
+# (2j)! / B_2j for j = 1..12: the Euler-Maclaurin divisors of ``_zeta``
+_ZETA_DIVISORS = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
 
-    return -gamma * log_sum - n_tail * math.log(zeta(gamma, x_min))
+
+def _zeta(s: float, q):
+    """Hurwitz zeta(s, q) = sum over k >= 0 of (q + k)^-s, for s > 1 and
+    q > 0; an array q gives the array of values.
+
+    A step-for-step port of the cephes ``zeta`` that scipy's
+    ``special.zeta(s, q)`` runs: the asymptotic form for q > 1e8, else
+    at least 9 direct terms (until q + terms > 9), then up to 12
+    Euler-Maclaurin corrections, each sum stopping once a term is below
+    machine epsilon relative to it.  Powers go through ``math.pow``, the
+    C library's ``pow`` as in cephes (``np.power`` may take a SIMD path
+    with other last bits), so every value is bit-identical to scipy's
+    and scipy.special stays unloaded.  ``total and`` stands in for C's
+    NaN from 0/0, which compares false, once every term underflows.
+    """
+    if np.ndim(q):
+        values = [_zeta(s, v) for v in np.ravel(q).astype(np.float64).tolist()]
+        return np.array(values).reshape(np.shape(q))
+    q = float(q)
+    if q > 1e8:
+        return (1 / (s - 1) + 1 / (2 * q)) * math.pow(q, 1 - s)
+    total = math.pow(q, -s)
+    a, i = q, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -s)
+        total += b
+        if total and abs(b / total) < _MACHEP:
+            return total
+    w = a
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    a, k = 1.0, 0.0
+    for divisor in _ZETA_DIVISORS:
+        a *= s + k
+        b /= w
+        t = a * b / divisor
+        total += t
+        if total and abs(t / total) < _MACHEP:
+            break
+        k += 1.0
+        a *= s + k
+        b /= w
+        k += 1.0
+    return total
+
+
+def _power_law_loglik(gamma: float, log_sum: float, n_tail: int, x_min: int) -> float:
+    return -gamma * log_sum - n_tail * math.log(_zeta(gamma, x_min))
 
 
 def _mle_gamma(log_sum: float, n_tail: int, x_min: int) -> float:
@@ -192,9 +255,7 @@ def _minimize_bounded(f, bounds, xatol: float = 1e-9, maxfun: int = 500) -> floa
 def _ks_distance(
     distinct: np.ndarray, cum_counts: np.ndarray, n_tail: int, gamma: float, x_min: int
 ) -> float:
-    from scipy.special import zeta
-
-    fitted_cdf = 1.0 - zeta(gamma, distinct + 1) / zeta(gamma, x_min)
+    fitted_cdf = 1.0 - _zeta(gamma, distinct + 1) / _zeta(gamma, x_min)
     empirical_cdf = cum_counts / n_tail
     return float(np.max(np.abs(empirical_cdf - fitted_cdf)))
 
@@ -209,7 +270,7 @@ def fit_power_law(seq: DegreeSequence, x_min: int | None = None) -> PowerLawFit:
     is what a like-for-like model comparison on a fixed tail wants.
     """
     positives = np.sort(np.asarray([v for v in seq.values if v > 0], dtype=np.int64))
-    distinct_all = np.unique(positives)
+    distinct_all = _unique(positives)
     if distinct_all.size < 2:
         raise DegenerateSampleError(
             "need at least 2 distinct positive degrees to fit a power law"
@@ -265,10 +326,8 @@ def fit_exponential(seq: DegreeSequence, x_min: int) -> ExponentialFit:
 def _log_likelihood_diffs(
     pl: PowerLawFit, ex: ExponentialFit, tail: list[int]
 ) -> list[float]:
-    from scipy.special import zeta
-
     # per-sample log p_powerlaw(x) - log p_geometric(x), shared support
-    log_norm = math.log(zeta(pl.gamma, pl.x_min))
+    log_norm = math.log(_zeta(pl.gamma, pl.x_min))
     log_q = math.log(ex.rate)
     log_1mq = math.log1p(-ex.rate)
     return [

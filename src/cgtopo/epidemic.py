@@ -68,14 +68,19 @@ class SizeSpectralTrend:
     rank_correlation: float | None
 
 
+# Lanczos vectors per restart cycle: ARPACK's ncv for one eigenpair
+_CYCLE = 20
+_EPS = float(np.finfo(np.float64).eps)
+
+
 def spectral_radius(
     g: CallGraph, tolerance: float = 1e-10, max_iterations: int = 100_000
 ) -> SpectralResult:
     """Largest adjacency eigenvalue of the symmetrized largest WCC.
 
-    Lanczos (ARPACK ``eigsh``) from the all-ones start vector, allowed
-    ``max_iterations`` restarts.  The returned pair must have residual
-    ||Ax - lambda x|| <= tolerance and lambda within the
+    Lanczos (1950) from the all-ones start vector, allowed
+    ``max_iterations`` restart cycles.  The returned pair must have
+    residual ||Ax - lambda x|| <= tolerance and lambda within the
     [sqrt(d_max), d_max] bounds, else ConvergenceError.  ``iterations``
     in the result counts the solver's applications of A.
     """
@@ -83,33 +88,23 @@ def spectral_radius(
         raise InputError("tolerance must be positive")
     if max_iterations < 1:
         raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
     h = largest_wcc(g.undirected)
     if h.m == 0:
         raise InputError("spectral radius undefined on an edgeless graph")
-    mat = h.adjacency
-    applications = 0
+    tails, heads = h.arcs()
 
     def matvec(x):
-        nonlocal applications
-        applications += 1
-        return mat @ x
+        # bincount adds each row's terms in arc order, so A x is the
+        # same bits on every run
+        return np.bincount(tails, weights=x[heads], minlength=h.n)
 
-    op = LinearOperator(mat.shape, matvec=matvec, dtype=np.float64)
-    try:
-        # ARPACK restarts from a random vector when the Krylov space runs
-        # out (star-like graphs); a fixed seed keeps results repeatable
-        vals, vecs = eigsh(
-            op, k=1, which="LA", v0=np.ones(h.n), maxiter=max_iterations, rng=0
-        )
-    except ArpackNoConvergence:
+    pair = _lanczos(matvec, h.n, max_iterations)
+    if pair is None:
         raise ConvergenceError(
             f"Lanczos did not converge in {max_iterations} restarts", None, None
-        ) from None
-    lam = float(vals[0])
-    vec = vecs[:, 0]
-    residual = float(np.linalg.norm(mat @ vec - lam * vec))
+        )
+    lam, vec, applications = pair
+    residual = float(np.linalg.norm(matvec(vec) - lam * vec))
     if residual > tolerance:
         raise ConvergenceError(
             f"residual {residual:.3e} exceeds tolerance {tolerance:.3e}", lam, vec
@@ -126,6 +121,50 @@ def spectral_radius(
     return SpectralResult(
         lambda1=lam, beta_c=1.0 / lam, iterations=applications, residual=residual
     )
+
+
+def _lanczos(matvec, n: int, cycles: int):
+    """``(theta, x, applications)``: the largest eigenvalue of the
+    symmetric operator ``matvec`` on R^n and its unit eigenvector, or
+    None if ``cycles`` restart cycles do not converge.
+
+    Each cycle grows an orthonormal Krylov basis of up to ``_CYCLE``
+    vectors, every new vector orthogonalized against the whole basis
+    twice, and reads the top Ritz pair (theta, y) of the tridiagonal
+    projection after each step.  The pair has converged when the
+    residual bound |beta * y_last| is within 10 eps |theta|, which also
+    holds when the Krylov space is exhausted (beta at rounding level, as
+    on a star); otherwise the next cycle starts from the Ritz vector.
+    The first cycle starts from ones / sqrt(n).  No step draws a random
+    number, so the result is the same bits on every run.
+    """
+    size = min(_CYCLE, n)
+    basis = np.empty((size, n))
+    start = np.full(n, 1.0 / math.sqrt(n))
+    applications = 0
+    for _ in range(cycles):
+        basis[0] = start
+        alpha, beta = [], []
+        for j in range(size):
+            w = matvec(basis[j])
+            applications += 1
+            alpha.append(0.0)
+            for _ in range(2):
+                coef = basis[: j + 1] @ w
+                w -= coef @ basis[: j + 1]
+                alpha[j] += coef[j]
+            beta.append(float(np.linalg.norm(w)))
+            tri = np.diag(alpha) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            values, vectors = np.linalg.eigh(tri)
+            theta, y = float(values[-1]), vectors[:, -1]
+            if abs(beta[j] * y[j]) <= 10 * _EPS * abs(theta):
+                x = y @ basis[: j + 1]
+                return theta, x / np.linalg.norm(x), applications
+            if j + 1 < size:
+                basis[j + 1] = w / beta[j]
+        start = y @ basis
+        start /= np.linalg.norm(start)
+    return None
 
 
 def validate_params(p: SisParams, n: int | None = None) -> None:

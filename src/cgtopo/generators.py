@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degree import _zeta
 from .graph import CallGraph, CallGraphError
 
 GNM = "erdos_renyi_gnm"
@@ -63,11 +64,9 @@ def sample_power_law(
         raise SpecError("power-law sampler requires gamma > 1")
     if x_min < 1:
         raise SpecError(f"power-law sampler requires x_min >= 1, got {x_min}")
-    from scipy.special import zeta
-
     table = 1_000_000
     support = np.arange(x_min, x_min + table, dtype=np.float64)
-    norm = zeta(gamma, x_min)
+    norm = _zeta(gamma, x_min)
     cdf = np.cumsum(support**-gamma) / norm
     u = rng.random(size)
     out = x_min + np.searchsorted(cdf, u, side="right")

@@ -132,7 +132,8 @@ class CallGraph:
     @cached_property
     def adjacency(self):
         """Sparse 0/1 adjacency (a scipy ``csr_matrix`` over the ``csr``
-        arrays); row u marks the stored arcs u -> v."""
+        arrays); row u marks the stored arcs u -> v.  A library helper:
+        no command reads it, so no command imports scipy."""
         import scipy.sparse as sp
 
         data = np.ones(len(self.indices), dtype=np.float64)
@@ -446,15 +447,62 @@ def symmetrize(g: CallGraph) -> CallGraph:
     return replace(g, indptr=indptr, indices=indices, directed=False)
 
 
+def _dfs(indptr, indices, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth-first search of a CSR graph from each unvisited root in turn.
+
+    Returns ``(preorder, parent, postorder)``: the nodes in the order the
+    search enters them and in the order it leaves them, and each node's
+    tree parent, -1 at a root and at a node no root reaches (such nodes
+    are in neither order).  The search keeps a cursor per node, so it
+    reads each arc once, and a stack instead of recursion, so any depth
+    runs.
+    """
+    ptr, nbr = indptr.tolist(), indices.tolist()
+    cursor = ptr[:-1]
+    parent = [-1] * len(cursor)
+    seen = [False] * len(cursor)
+    preorder, postorder = [], []
+    for root in roots:
+        if seen[root]:
+            continue
+        seen[root] = True
+        preorder.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            i, end = cursor[v], ptr[v + 1]
+            while i < end and seen[nbr[i]]:
+                i += 1
+            if i < end:
+                w = nbr[i]
+                cursor[v] = i + 1
+                seen[w] = True
+                parent[w] = v
+                preorder.append(w)
+                stack.append(w)
+            else:
+                stack.pop()
+                postorder.append(v)
+    return tuple(np.array(a, dtype=np.int64) for a in (preorder, parent, postorder))
+
+
 def components(g: CallGraph, connection: str) -> list[list[int]]:
     """``connection`` ("weak" or "strong") components as sorted id lists,
-    largest first, ties on size broken toward the smallest member id."""
-    from scipy.sparse.csgraph import connected_components
+    largest first, ties on size broken toward the smallest member id.
 
-    count, labels = connected_components(g.adjacency, connection=connection)
-    members = np.argsort(labels, kind="stable")
-    cuts = np.cumsum(np.bincount(labels, minlength=count))[:-1]
-    comps = [part.tolist() for part in np.split(members, cuts)]
+    A component is one tree of a depth-first search: over the symmetrized
+    graph for weak ones; for strong ones (Kosaraju; Sharir 1981) over the
+    in-arcs, from the roots in reverse postorder of a search over the
+    out-arcs.
+    """
+    if connection == "weak":
+        order, parent, _ = _dfs(*g.undirected.csr, range(g.n))
+    else:
+        finished = _dfs(*g.csr, range(g.n))[2]
+        order, parent, _ = _dfs(*g.in_csr, finished[::-1].tolist())
+    # each tree is the run of the preorder that starts at its root
+    roots = np.flatnonzero(parent[order] < 0)
+    comps = [np.sort(tree).tolist() for tree in np.split(order, roots[1:])]
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 

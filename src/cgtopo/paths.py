@@ -58,7 +58,7 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     # word-major, so that each word's gather and reduction is contiguous
     visited = np.zeros(((len(sources) + 63) >> 6, n), dtype=np.uint64)
     np.bitwise_or.at(visited, (word, sources), bit)
-    nodes = np.unique(sources)
+    nodes = _unique(sources)
     bits = visited[:, nodes]
     if banned is not None:
         np.bitwise_or.at(visited, (word, banned), bit)

@@ -320,12 +320,6 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     entries = read_manifest(manifest_path)
-    # the metrics import scipy where they call it; importing it here,
-    # before any fork, lets the workers share one copy
-    import scipy.sparse.csgraph  # noqa: F401
-    import scipy.sparse.linalg  # noqa: F401
-    import scipy.special  # noqa: F401
-
     # largest input first, so that the slowest entry does not start
     # last; an unreadable file sorts as empty and its worker reports it
     order = sorted(range(len(entries)), key=lambda i: -_file_size(entries[i].path))

@@ -16,7 +16,16 @@ from math import fsum
 import numpy as np
 
 from . import paths
-from .graph import CallGraph, CallGraphError, InputError, _pmap, _ranges
+from .graph import (
+    CallGraph,
+    CallGraphError,
+    InputError,
+    _csr,
+    _dfs,
+    _pmap,
+    _ranges,
+    _unique,
+)
 
 ASSORTATIVITY_MODES = ("in_in", "out_out", "total")
 
@@ -149,23 +158,41 @@ def clustering(g: CallGraph) -> ClusteringResult:
         per_node=per_node,
         global_c=fsum(c) / defined.size,
         by_degree={
-            int(kk): fsum(c[k == kk]) / np.count_nonzero(k == kk) for kk in np.unique(k)
+            int(kk): fsum(c[k == kk]) / np.count_nonzero(k == kk) for kk in _unique(k)
         },
         defined_count=int(defined.size),
     )
 
 
 def _triangles(h: CallGraph) -> np.ndarray:
-    """Triangles through each node of a symmetric graph: half the row
-    sums of (A·A)∘A, over row blocks whose product fits the batch budget
-    (row v of A·A has at most the summed degree of v's neighbours)."""
-    a = h.adjacency
-    indptr, indices = h.csr
-    reach = np.concatenate(([0], np.cumsum(h.out_degrees[indices])))
-    tri = np.empty(h.n)
-    for start, stop in paths._batches(reach[indptr[1:]] - reach[indptr[:-1]]):
-        rows = a[start:stop]
-        tri[start:stop] = (rows @ a).multiply(rows).sum(axis=1).A1 / 2
+    """Triangles through each node of a symmetric graph, as integers.
+
+    Each edge is oriented toward its end of higher (degree, id), so every
+    triangle is the one oriented wedge u -> v -> w that the arc u -> w
+    closes (Chiba and Nishizeki, 1985).  The wedges are enumerated arc by
+    arc, over spans of arcs whose wedges fit the batch budget, and each
+    closing arc is looked up in the ascending arc codes.
+    """
+    n = h.n
+    tails, heads = h.arcs()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(h.out_degrees, kind="stable")] = np.arange(n)
+    up = rank[tails] < rank[heads]
+    tails, codes = tails[up], tails[up] * n + heads[up]  # still ascending
+    indptr, indices = _csr(n, codes)
+    # the wedges through an arc are the out-arcs of its head
+    width = np.diff(indptr)[indices]
+    tri = np.zeros(n, dtype=np.int64)
+    for start, stop in paths._batches(width):
+        count = width[start:stop]
+        mid = np.repeat(indices[start:stop], count)
+        first = np.repeat(tails[start:stop], count)
+        last = indices[_ranges(indptr[indices[start:stop]], count)]
+        wedge = first * n + last
+        at = np.minimum(np.searchsorted(codes, wedge), codes.size - 1)
+        closed = codes[at] == wedge
+        ends = np.concatenate((first[closed], mid[closed], last[closed]))
+        tri += np.bincount(ends, minlength=n)
     return tri
 
 
@@ -230,7 +257,7 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     )[:, None]
     count = eligible.size
     aggregate = {d: fsum(frac[:, d]) / count for d in range(1, d_max + 1)}
-    groups = [(int(kk), frac[k == kk]) for kk in np.unique(k)]
+    groups = [(int(kk), frac[k == kk]) for kk in _unique(k)]
     cells = {
         d: {kk: fsum(rows[:, d]) / len(rows) for kk, rows in groups}
         for d in range(1, d_max + 1)
@@ -311,30 +338,22 @@ def _lead_classes(indptr, indices, owner, block, later, d_max, span):
 def _edge_blocks(indptr, indices) -> np.ndarray:
     """Biconnected-block label of every arc of a symmetric CSR graph;
     both arcs of an edge share the label.  Low points (Hopcroft and
-    Tarjan, 1973) over scipy's depth-first order: tree edge p-v opens a
-    block unless an arc from v's subtree reaches above p, and each arc
-    takes the block of its deeper end.  scipy rescans a row each time the
-    search returns to its node, so the search reads up to sum(deg**2)
-    arcs, about twice the pairs that `_pair_classes` enumerates anyway."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import depth_first_order
-
-    n, arcs = len(indptr) - 1, len(indices)
-    # virtual node n + i leads to node i, then to n + i + 1, so one search
-    # from n roots every component at its smallest node
-    heads = np.column_stack((np.arange(n), np.arange(n + 1, 2 * n + 1))).ravel()
-    ptr = np.concatenate((indptr, arcs + 2 * np.minimum(np.arange(1, n + 2), n)))
-    chained = (np.ones(arcs + 2 * n), np.concatenate((indices, heads)), ptr)
-    order, parent = depth_first_order(csr_array(chained, shape=(2 * n + 1,) * 2), n)
-    disc = np.empty(2 * n + 1, dtype=np.int64)
-    disc[order] = np.arange(order.size)
+    Tarjan, 1973) over one depth-first search from every node in id
+    order: tree edge p-v opens a block unless an arc from v's subtree
+    reaches above p, and each arc takes the block of its deeper end."""
+    n = len(indptr) - 1
+    order, parent, _ = _dfs(indptr, indices, range(n))
+    disc = np.empty(n, dtype=np.int64)
+    disc[order] = np.arange(n)
     tail = np.repeat(np.arange(n), np.diff(indptr))
     deeper = np.where(disc[tail] > disc[indices], tail, indices)
     # an arc from the shallower end leaves its tail's low point as it is
     low = disc.copy()
     np.minimum.at(low, tail, disc[indices])
-    order = order[order < n].tolist()
-    parent, low, disc = parent.tolist(), low.tolist(), disc.tolist()
+    # a root is its own parent here: that lowers no low point, and the
+    # root's label, which no arc takes, opens a block of its own
+    parent = np.where(parent < 0, np.arange(n), parent).tolist()
+    order, low, disc = order.tolist(), low.tolist(), disc.tolist()
     for v in reversed(order):
         low[parent[v]] = min(low[parent[v]], low[v])
     block = [0] * n
@@ -353,7 +372,8 @@ def reciprocity(g: CallGraph) -> ReciprocityResult:
         raise InputError("reciprocity needs n >= 2 and m >= 1")
     tails, heads = g.arcs()
     arcs = tails * g.n + heads
-    reciprocal = int(np.isin(heads * g.n + tails, arcs).sum())
+    # both code arrays are distinct, which spares isin a bare np.unique
+    reciprocal = int(np.isin(heads * g.n + tails, arcs, assume_unique=True).sum())
     varrho = reciprocal / g.m
     a_bar = g.m / (g.n * (g.n - 1))
     if a_bar == 1.0:

@@ -24,7 +24,13 @@ from cgtopo import (
     spectral_radius,
     weak_components,
 )
-from cgtopo.degree import _GAMMA_BOUNDS, _minimize_bounded, _mle_gamma, _power_law_loglik
+from cgtopo.degree import (
+    _GAMMA_BOUNDS,
+    _minimize_bounded,
+    _mle_gamma,
+    _power_law_loglik,
+    _zeta,
+)
 from cgtopo.graph import CallGraph
 from cgtopo.topology import ASSORTATIVITY_MODES, assortativity, clustering, reciprocity
 
@@ -152,6 +158,38 @@ def test_mle_port_stops_at_maxfun_like_scipy(maxfun):
     assert _minimize_bounded(f, _GAMMA_BOUNDS, maxfun=maxfun) == want
     # the limit is checked after the first step, as in scipy
     assert len(calls) == max(maxfun, 2)
+
+
+def _same_bits(got, want) -> bool:
+    return np.array_equal(np.asarray(got, dtype=np.float64), want)
+
+
+def test_zeta_port_is_bit_identical_to_scipy_on_a_grid():
+    rng = np.random.Generator(np.random.PCG64(15))
+    for s, q in zip(1.0 + 5.0 * (1.0 - rng.random(4000)), rng.integers(1, 100_001, 4000)):
+        assert _same_bits(_zeta(float(s), int(q)), zeta(s, q)), (s, q)
+
+
+def test_zeta_port_takes_an_array_q_like_scipy():
+    # as the KS distance passes it: the distinct tail degrees plus one
+    q = np.array([2, 3, 4, 7, 12, 40, 41, 300, 5000, 100_000], dtype=np.int64)
+    for s in (1.5, 2.2, 2.5, 3.7, 50.0):
+        got = _zeta(s, q)
+        assert got.shape == q.shape
+        assert _same_bits(got, zeta(s, q))
+
+
+@pytest.mark.parametrize("q", [1e8, 1e8 + 1, 2.5e8, 1e10, 3e15])
+def test_zeta_port_asymptotic_branch(q):
+    for s in (1.0 + 1e-9, 1.5, 2.5, 6.0):
+        assert _same_bits(_zeta(s, q), zeta(s, q)), (s, q)
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6, 1e-3])
+def test_zeta_port_near_s_one(gap):
+    # the fit's lower gamma bound is 1 + 1e-9
+    for q in (1, 2, 9, 10, 1000, 10**7):
+        assert _same_bits(_zeta(1.0 + gap, q), zeta(1.0 + gap, q)), (gap, q)
 
 
 def test_power_law_pinned_x_min_skips_scan():

@@ -27,7 +27,7 @@ from cgtopo.fixtures import (
     star_graph,
 )
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
-from cgtopo.graph import largest_wcc
+from cgtopo.graph import largest_wcc, load_graph
 
 from conftest import rows
 
@@ -119,9 +119,21 @@ def test_spectral_matches_dense_oracle_heavy_tailed():
     assert res.residual <= 1e-10
 
 
+@pytest.mark.parametrize("label", ["powerlaw-2.5", "linux-2.6.12-rc2-sim"])
+def test_spectral_matches_eigsh_at_kernel_scale(corpus_dir, label):
+    from scipy.sparse.linalg import eigsh
+
+    g = load_graph(corpus_dir / f"{label}.edges", "edgelist")
+    h = largest_wcc(g.undirected)
+    want = float(eigsh(h.adjacency, k=1, which="LA", return_eigenvectors=False)[0])
+    res = spectral_radius(g)
+    assert abs(res.lambda1 - want) <= 1e-12 * want
+    assert res.residual <= 1e-10
+
+
 def test_spectral_repeatable_within_a_process():
-    # a star exhausts the Krylov space early, so ARPACK restarts from a
-    # random vector; the result must not depend on earlier calls
+    # a star exhausts the Krylov space after two steps; the solver draws
+    # no random number, so the result must not depend on earlier calls
     first = spectral_radius(star_graph(100))
     for k in (4, 9, 25):
         spectral_radius(star_graph(k))

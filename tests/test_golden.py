@@ -16,9 +16,10 @@ so a moved key shows as a changed byte, not as an empty cell.
 gnm-2000 is the one fixture whose betweenness runs many Brandes blocks
 (31 of 65 sources), so it pins the order in which the blocks are summed.
 
-The goldens were made with Python 3.11, numpy 2.4 and scipy 1.17 on
-x86-64.  lambda1 comes from ARPACK, whose last bits can differ on
-another BLAS or CPU; there, regenerate the goldens with
+The goldens were made with Python 3.11 and numpy 2.4 on x86-64.
+lambda1 comes from a Lanczos solver whose dot products, norms and
+tridiagonal eigensolve run in numpy's BLAS and LAPACK, so its last bits
+can differ on another BLAS or CPU; there, regenerate the goldens with
 ``python tests/test_golden.py`` on a commit known to be right and
 review the diff.
 """

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from cgtopo import (
     InputError,
@@ -227,6 +227,22 @@ def test_components_match_networkx_at_scale():
         )
 
 
+@pytest.mark.parametrize(
+    "n, m", [(1, 0), (300, 120), (2000, 1500), (5000, 9000), (20_000, 24_000)]
+)
+def test_components_match_scipy_on_random_digraphs(n, m):
+    # sparse draws: isolated nodes and many small components among them
+    rng = np.random.Generator(np.random.PCG64(n + m))
+    g = CallGraph.from_id_pairs(n, rng.integers(0, n, size=(m, 2)))
+    for connection, ours in (
+        ("weak", weak_components),
+        ("strong", strongly_connected_components),
+    ):
+        count, labels = connected_components(g.adjacency, connection=connection)
+        parts = [np.flatnonzero(labels == k).tolist() for k in range(count)]
+        assert ours(g) == sorted(parts, key=lambda c: (-len(c), c[0])), connection
+
+
 def test_scc_sizes_partition_n():
     g = generate_random(RandomGraphSpec(model=GNM, n=50, m=120, seed=8))
     comps = strongly_connected_components(g)
@@ -238,6 +254,15 @@ def test_scc_deep_chain_no_recursion_limit():
     pairs = [(i, i + 1) for i in range(20000)]
     g = CallGraph.from_id_pairs(20001, pairs)
     assert len(strongly_connected_components(g)) == 20001
+
+
+def test_components_of_a_long_cycle_need_no_recursion():
+    # every search path is 100,000 nodes deep
+    n = 100_000
+    ids = np.arange(n)
+    g = CallGraph.from_id_pairs(n, np.column_stack((ids, (ids + 1) % n)))
+    assert strongly_connected_components(g) == [ids.tolist()]
+    assert weak_components(g) == [ids.tolist()]
 
 
 def test_component_stats_hand_cases():

@@ -323,6 +323,18 @@ def test_edge_blocks_beyond_int32_arc_codes():
             assert labels[csr.indptr[u] + a] == labels[back]
 
 
+def test_edge_blocks_of_a_large_star_in_linear_time():
+    # every edge is a block of its own; the search reads each arc once,
+    # where one that rescans the hub's row on each return reads 2e5**2
+    leaves = 200_000
+    h = symmetrize(star_graph(leaves))
+    labels = topology._edge_blocks(*h.csr)
+    hub = labels[:leaves]
+    assert len(set(hub.tolist())) == leaves
+    # the arc back from each leaf, its only arc, shares the hub arc's label
+    assert labels[leaves:].tolist() == hub.tolist()
+
+
 @pytest.mark.parametrize("rows", [63, 64, 65, 130])
 def test_profile_row_batches(monkeypatch, rows):
     # every node of a triangle or a square leads one search row with one
