@@ -130,10 +130,21 @@ class CallGraph:
         return symmetrize(self)
 
     @cached_property
+    def weak_search(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(preorder, parent)`` of one depth-first search of the
+        symmetrized graph from every node in id order (see ``_dfs``):
+        its trees are the weak components.  The symmetrized view owns
+        it, so components, blocks and lambda1 share one search."""
+        if self.directed:
+            return self.undirected.weak_search
+        return _dfs(*self.csr, range(self.n))[:2]
+
+    @cached_property
     def adjacency(self):
         """Sparse 0/1 adjacency (a scipy ``csr_matrix`` over the ``csr``
-        arrays); row u marks the stored arcs u -> v.  A library helper:
-        no command reads it, so no command imports scipy."""
+        arrays); row u marks the stored arcs u -> v.  Only the benchmark
+        tracer still reads it; no command or other helper does, so no
+        command imports scipy."""
         import scipy.sparse as sp
 
         data = np.ones(len(self.indices), dtype=np.float64)
@@ -377,13 +388,16 @@ def load_graph(path, fmt: str) -> CallGraph:
 
 
 def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
-    """Serialize to edge-list text whose reload reproduces g exactly.
+    """Serialize to edge-list text whose reload has g's names and
+    name-level arcs.
 
-    Edges are ordered so node names first appear in id order; reloading
-    the text therefore reassigns identical ids.  Isolated nodes cannot
-    be represented in the format and raise unless ``drop_isolated``; a
-    written name that is not one whitespace-free token, or that starts
-    a line with ``#`` (a comment), always raises.
+    Edges are ordered so node names first appear in id order wherever
+    the arcs allow it, so the reload keeps g's ids when they follow
+    first appearance, as every loaded graph's do.  No edge list can
+    carry other ids: then the reload is g renumbered.  Isolated nodes
+    cannot be represented in the format and raise unless
+    ``drop_isolated``; a written name that is not one whitespace-free
+    token, or that starts a line with ``#`` (a comment), always raises.
     """
     n = g.n
     # the smallest neighbour of each node, either direction; n if none
@@ -496,7 +510,7 @@ def components(g: CallGraph, connection: str) -> list[list[int]]:
     out-arcs.
     """
     if connection == "weak":
-        order, parent, _ = _dfs(*g.undirected.csr, range(g.n))
+        order, parent = g.weak_search
     else:
         finished = _dfs(*g.csr, range(g.n))[2]
         order, parent, _ = _dfs(*g.in_csr, finished[::-1].tolist())

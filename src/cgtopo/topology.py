@@ -9,7 +9,7 @@ when a directed graph comes in.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from math import fsum
 
@@ -21,7 +21,6 @@ from .graph import (
     CallGraphError,
     InputError,
     _csr,
-    _dfs,
     _pmap,
     _ranges,
     _unique,
@@ -221,16 +220,28 @@ def clustering_by_degree_fit(res: ClusteringResult) -> DegreeClusteringFit:
 def neighbour_pair_distances(g: CallGraph, node: int) -> Counter:
     """Distances between neighbours of ``node`` measured with the node
     removed, as a Counter {distance: pair count}; disconnected pairs
-    land under the DISCONNECTED (infinity) key."""
-    from scipy.sparse.csgraph import shortest_path
-
+    land under the DISCONNECTED (infinity) key.  A plain breadth-first
+    search from each neighbour: the clustering profile's oracle."""
     h = g.undirected
-    row = h.indices[h.indptr[node] : h.indptr[node + 1]]
-    row = row - (row > node)  # ids once the node is cut out
-    keep = np.arange(h.n) != node
-    dist = shortest_path(h.adjacency[keep][:, keep], unweighted=True, indices=row)
-    pairs = dist[:, row][np.triu_indices(len(row), 1)].tolist()
-    return Counter(DISCONNECTED if math.isinf(d) else int(d) for d in pairs)
+    ptr, nbr = h.indptr.tolist(), h.indices.tolist()
+    adj = [nbr[a:b] for a, b in zip(ptr, ptr[1:])]
+    row = adj[node]
+    pairs: Counter = Counter()
+    for a, source in enumerate(row):
+        depth = [-1] * h.n
+        depth[node] = depth[source] = 0  # the cut node is never entered
+        queue = deque([source])
+        left = set(row[a + 1 :])  # the search stops once it meets them all
+        while queue and left:
+            v = queue.popleft()
+            left.discard(v)
+            d = depth[v] + 1
+            for w in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = d
+                    queue.append(w)
+        pairs.update(depth[t] if depth[t] > 0 else DISCONNECTED for t in row[a + 1 :])
+    return pairs
 
 
 def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
@@ -246,13 +257,13 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     """
     if d_max < 1:
         raise InputError(f"d_max must be >= 1, got {d_max}")
-    indptr, indices = g.undirected.csr
-    degree = np.diff(indptr)
+    h = g.undirected
+    degree = h.out_degrees
     eligible = np.flatnonzero(degree >= 2)
     if eligible.size == 0:
         raise InputError("no node with degree >= 2 to profile")
     k = degree[eligible]
-    frac = _pair_classes(indptr, indices, d_max)[eligible] / (
+    frac = _pair_classes(h, d_max)[eligible] / (
         k * (k - 1) // 2
     )[:, None]
     count = eligible.size
@@ -272,8 +283,8 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     )
 
 
-def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
-    """Neighbour-pair counts per node of a symmetric CSR graph, as an
+def _pair_classes(h: CallGraph, d_max: int) -> np.ndarray:
+    """Neighbour-pair counts per node of a symmetric graph, as an
     (n, d_max + 2) array: column d in 1..d_max counts the pairs at
     distance d with the node removed, column d_max + 1 the pairs
     farther apart, column 0 the pairs disconnected.
@@ -282,10 +293,11 @@ def _pair_classes(indptr, indices, d_max: int) -> np.ndarray:
     i-l lie in different biconnected blocks, so only same-block pairs
     are searched, by bitset BFS from j with i banned, to depth d_max.
     """
-    n = len(indptr) - 1
+    n = h.n
+    indptr, indices = h.csr
     arcs = len(indices)
     owner = np.repeat(np.arange(n), np.diff(indptr))
-    block = _edge_blocks(indptr, indices)
+    block = _edge_blocks(h)
     # arc a of node i leads the pairs it forms with the later arcs of i
     later = indptr[owner + 1] - np.arange(arcs) - 1
     classes = np.zeros((n, d_max + 2), dtype=np.int64)
@@ -335,14 +347,15 @@ def _lead_classes(indptr, indices, owner, block, later, d_max, span):
     return first, part
 
 
-def _edge_blocks(indptr, indices) -> np.ndarray:
-    """Biconnected-block label of every arc of a symmetric CSR graph;
-    both arcs of an edge share the label.  Low points (Hopcroft and
-    Tarjan, 1973) over one depth-first search from every node in id
-    order: tree edge p-v opens a block unless an arc from v's subtree
-    reaches above p, and each arc takes the block of its deeper end."""
-    n = len(indptr) - 1
-    order, parent, _ = _dfs(indptr, indices, range(n))
+def _edge_blocks(h: CallGraph) -> np.ndarray:
+    """Biconnected-block label of every arc of a symmetric graph; both
+    arcs of an edge share the label.  Low points (Hopcroft and Tarjan,
+    1973) over the graph's ``weak_search``: tree edge p-v opens a block
+    unless an arc from v's subtree reaches above p, and each arc takes
+    the block of its deeper end."""
+    n = h.n
+    indptr, indices = h.csr
+    order, parent = h.weak_search
     disc = np.empty(n, dtype=np.int64)
     disc[order] = np.arange(n)
     tail = np.repeat(np.arange(n), np.diff(indptr))

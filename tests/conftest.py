@@ -1,4 +1,8 @@
+import sys
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cgtopo.fixtures import (
     bridged_triangles,
@@ -43,3 +47,20 @@ def rows(indptr, indices) -> tuple[tuple[int, ...], ...]:
     the adjacency the oracles read, taken from the stored arrays."""
     flat, ptr = indices.tolist(), indptr.tolist()
     return tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+def matrix(g):
+    """The 0/1 scipy ``csr_matrix`` of g's stored arcs, built from
+    ``g.csr``: what the scipy oracles read."""
+    data = np.ones(len(g.indices), dtype=np.float64)
+    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
+
+
+def rebind(monkeypatch, original, replacement) -> None:
+    """Replace every module-level reference to ``original`` in cgtopo,
+    including each ``from .graph import`` copy, by ``replacement``."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("cgtopo") and module is not None:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)

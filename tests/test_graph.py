@@ -357,10 +357,27 @@ def test_edge_list_round_trip(pairs):
 def test_edge_list_text_matches_reference_for_any_ids(case):
     n, pairs = case
     g = CallGraph.from_id_pairs(n, pairs)
-    assert to_edge_list(g, drop_isolated=True) == _reference_edge_list(g)
-    assert to_edge_list(g.undirected, drop_isolated=True) == _reference_edge_list(
-        g.undirected
-    )
+    text = to_edge_list(g, drop_isolated=True)
+    assert text == _reference_edge_list(g)
+    undirected = to_edge_list(g.undirected, drop_isolated=True)
+    assert undirected == _reference_edge_list(g.undirected)
+    if g.m == 0:
+        return
+    # ids the text cannot carry come back renumbered, with the same
+    # names and name-level arcs; a loaded graph's ids come back as they are
+    again = load_edge_list(text)
+    assert _named_arcs(again) == _named_arcs(g)
+    assert _named_arcs(load_edge_list(undirected).undirected) == _named_arcs(g.undirected)
+    assert set(again.names) == {g.names[v] for v in np.unique(g.arcs())}
+    twice = load_edge_list(to_edge_list(again))
+    assert twice.names == again.names
+    assert list(twice.edges()) == list(again.edges())
+
+
+def _named_arcs(g):
+    """Every stored arc as a (tail name, head name) pair."""
+    tails, heads = g.arcs()
+    return {(g.names[u], g.names[v]) for u, v in zip(tails.tolist(), heads.tolist())}
 
 
 def _forbid_tuple_views(monkeypatch):

@@ -3,11 +3,12 @@
 No command imports scipy: the degree fit runs its own ports of scipy's
 Hurwitz zeta and bounded Brent minimizer, components and biconnected
 blocks come from one depth-first search, and lambda1 from a numpy
-Lanczos solver.  Only two library helpers, ``CallGraph.adjacency`` and
-``topology.neighbour_pair_distances``, import scipy, and no command
-calls them.  Corpus pool workers import nothing their parent did not.
+Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
+scipy, and no command calls it; a scan of the source keeps it the only
+one.  Corpus pool workers import nothing their parent did not.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -61,6 +62,35 @@ def test_sis_commands_import_no_scipy(tmp_path):
     )
     result = json.loads(out.splitlines()[-1])
     assert result == {"codes": [0, 0], "scipy": []}
+
+
+def _scipy_imports(node, scope=()):
+    """(scope, module) of each ``import scipy...`` statement under
+    ``node``, scope being the names of the enclosing classes and
+    functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            modules = [child.module]
+        else:
+            modules = []
+        for module in modules:
+            if module.split(".")[0] == "scipy":
+                yield ".".join(scope), module
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scipy_imports(child, scope + (child.name,) if named else scope)
+
+
+def test_only_the_sparse_adjacency_imports_scipy():
+    package = Path(cgtopo.__file__).resolve().parent
+    found = {
+        path.name: list(_scipy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "graph.py": [("CallGraph.adjacency", "scipy.sparse")]
+    }
 
 
 def test_cli_import_loads_every_module():

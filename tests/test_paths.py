@@ -26,7 +26,7 @@ from cgtopo.fixtures import complete_graph, permutation_core_graph, star_graph
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph, _pmap, largest_wcc, load_graph
 
-from conftest import rows
+from conftest import matrix, rows
 
 
 def _bfs_counts(adj, src):
@@ -238,7 +238,7 @@ def test_components_match_scipy_on_random_digraphs(n, m):
         ("weak", weak_components),
         ("strong", strongly_connected_components),
     ):
-        count, labels = connected_components(g.adjacency, connection=connection)
+        count, labels = connected_components(matrix(g), connection=connection)
         parts = [np.flatnonzero(labels == k).tolist() for k in range(count)]
         assert ours(g) == sorted(parts, key=lambda c: (-len(c), c[0])), connection
 
@@ -296,7 +296,7 @@ def _dijkstra_geodesic(g, directed):
     """(inverse distance sum, reachable ordered pairs) from scipy's
     all-pairs unweighted dijkstra."""
     h = g if directed else symmetrize(g)
-    dist = dijkstra(h.adjacency, directed=True, unweighted=True)
+    dist = dijkstra(matrix(h), directed=True, unweighted=True)
     finite = np.isfinite(dist) & (dist > 0)
     return math.fsum((1.0 / dist[finite]).tolist()), int(finite.sum())
 
@@ -353,7 +353,7 @@ def test_bitset_bfs_rows_against_plain_bfs(rows):
     sources = rng.integers(0, g.n, rows)
     banned = (sources + 1 + rng.integers(0, g.n - 1, rows)) % g.n
     # pull-wise CSR: row v lists the predecessors of v
-    csr = g.adjacency.T.tocsr()
+    csr = matrix(g).T.tocsr()
     for ban, cap in ((None, None), (banned, None), (banned, 2), (None, 1)):
         got = [{} for _ in range(rows)]
         for depth, nodes, bits in paths._bitset_bfs(

@@ -8,6 +8,7 @@ import pytest
 
 from cgtopo import (
     AnalysisConfig,
+    CallGraph,
     ConfigError,
     ParseError,
     RandomGraphSpec,
@@ -24,7 +25,7 @@ from cgtopo import (
 )
 from cgtopo.cli import main
 from cgtopo.corpus import load_entry
-from cgtopo import report
+from cgtopo import graph, report
 from cgtopo.fixtures import bridged_triangles, hierarchical_graph, to_edge_list
 from cgtopo.generators import GNM, generate_random
 from cgtopo.report import (
@@ -33,6 +34,8 @@ from cgtopo.report import (
     corpus_summary_csv,
     write_csv_bundle,
 )
+
+from conftest import rebind
 
 TOP_KEYS = {
     "graph",
@@ -130,6 +133,32 @@ def test_analyze_graph_reports_failures_list(sample_path):
     report, extras, failures = analyze_graph(g, _config(sample_path), "x")
     assert isinstance(failures, list)
     assert set(report) == TOP_KEYS
+
+
+@pytest.mark.parametrize(
+    "pairs, searches",
+    [
+        # connected: the weak search, shared by every user, and Kosaraju's two
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 0)], 3),
+        # a 3-cycle and two separate edges: one more weak search, of the WCC
+        ([(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)], 4),
+    ],
+)
+def test_analysis_runs_one_weak_search_per_graph(monkeypatch, pairs, searches):
+    original = graph._dfs
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    rebind(monkeypatch, original, counting)
+    # serial, so a search in a pool worker is counted too
+    monkeypatch.setattr(graph, "_cpus", lambda: 1)
+    g = CallGraph.from_id_pairs(1 + max(max(p) for p in pairs), pairs)
+    _, _, failures = analyze_graph(g, AnalysisConfig(), "g")
+    assert failures == []
+    assert len(calls) == searches
 
 
 def test_csv_bundle_files_and_headers(tmp_path, sample_path):

@@ -272,9 +272,8 @@ def test_profile_matches_per_node_reference(index, d_max):
 def test_profile_counts_match_neighbour_pair_distances():
     for g in ARTICULATED:
         h = symmetrize(g)
-        csr = h.adjacency
         for d_max in (1, 2, 6):
-            got = topology._pair_classes(csr.indptr, csr.indices, d_max)
+            got = topology._pair_classes(h, d_max)
             for i in range(h.n):
                 want = [0] * (d_max + 2)
                 for d, c in neighbour_pair_distances(h, i).items():
@@ -291,10 +290,9 @@ def test_edge_blocks_match_networkx():
     ]
     for g in graphs:
         h = symmetrize(g)
-        csr = h.adjacency
-        labels = topology._edge_blocks(csr.indptr, csr.indices)
+        labels = topology._edge_blocks(h)
         arc = {
-            (u, v): int(labels[csr.indptr[u] + a])
+            (u, v): int(labels[h.indptr[u] + a])
             for u, row in enumerate(rows(*h.csr))
             for a, v in enumerate(row)
         }
@@ -313,14 +311,13 @@ def test_edge_blocks_match_networkx():
 def test_edge_blocks_beyond_int32_arc_codes():
     # n * n exceeds 2**31 from n = 46,341 on
     h = symmetrize(bridged_triangles(17_000))
-    csr = h.adjacency
-    labels = topology._edge_blocks(csr.indptr, csr.indices)
+    labels = topology._edge_blocks(h)
     assert len(set(labels.tolist())) == 17_000 + 16_999
     adj = rows(*h.csr)
     for u in (0, 3, h.n - 3, h.n - 1):
         for a, v in enumerate(adj[u]):
-            back = csr.indptr[v] + adj[v].index(u)
-            assert labels[csr.indptr[u] + a] == labels[back]
+            back = h.indptr[v] + adj[v].index(u)
+            assert labels[h.indptr[u] + a] == labels[back]
 
 
 def test_edge_blocks_of_a_large_star_in_linear_time():
@@ -328,7 +325,7 @@ def test_edge_blocks_of_a_large_star_in_linear_time():
     # where one that rescans the hub's row on each return reads 2e5**2
     leaves = 200_000
     h = symmetrize(star_graph(leaves))
-    labels = topology._edge_blocks(*h.csr)
+    labels = topology._edge_blocks(h)
     hub = labels[:leaves]
     assert len(set(hub.tolist())) == leaves
     # the arc back from each leaf, its only arc, shares the hub arc's label
@@ -423,9 +420,8 @@ def test_pair_classes_on_linux_sim(corpus_dir):
     assert (g.n, g.m) == (20_165, 70_010)
     h = g.undirected
     d_max = 6
-    indptr, indices = h.csr
-    classes = topology._pair_classes(indptr, indices, d_max)
-    k = np.diff(indptr).astype(np.int64)
+    classes = topology._pair_classes(h, d_max)
+    k = h.out_degrees
     assert classes.sum(axis=1).tolist() == (k * (k - 1) // 2).tolist()
     assert classes[:, 1].tolist() == topology._triangles(h).tolist()
     eligible = np.flatnonzero(k >= 2)
