@@ -12,7 +12,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain, count
+from itertools import count, filterfalse
 
 import numpy as np
 
@@ -160,7 +160,7 @@ class CallGraph:
         then ``extra_nodes``.  Self-loops are dropped and duplicate
         edges collapsed; the drop counts are recorded on the result.
         """
-        return _from_tokens([name for a, b in pairs for name in (a, b)], extra_nodes)
+        return _from_tokens([[name for a, b in pairs for name in (a, b)]], extra_nodes)
 
     @classmethod
     def from_id_pairs(cls, n: int, pairs, names=None) -> "CallGraph":
@@ -272,27 +272,48 @@ def _rows(indptr, indices) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical(n: int, names: tuple[str, ...], ends: np.ndarray) -> CallGraph:
-    """CallGraph on nodes 0..n-1 from flat int64 ids caller, callee, ...:
+    """CallGraph on nodes 0..n-1 from flat integer ids caller, callee, ...:
     self-loops dropped and duplicate arcs collapsed, both counted."""
     if n == 0:
         raise InputError("empty graph (0 nodes)")
     u, v = ends[0::2], ends[1::2]
     proper = u != v
-    codes = u[proper] * n + v[proper]
+    codes = u[proper].astype(np.int64) * n + v[proper]
     unique = _unique(codes)
     loops, dups = u.size - codes.size, codes.size - unique.size
     return CallGraph(names, *_csr(n, unique), True, loops, dups)
 
 
-def _from_tokens(tokens: list[str], extra_nodes=()) -> CallGraph:
-    """CallGraph from the flat name list caller, callee, caller, ...;
-    ids follow first appearance, then ``extra_nodes``."""
-    index = dict(zip(dict.fromkeys(chain(tokens, extra_nodes)), count()))
-    ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    return _canonical(len(index), tuple(index), ends)
+def _from_tokens(runs, extra_nodes=()) -> CallGraph:
+    """CallGraph from the flat name list caller, callee, caller, ...,
+    given as consecutive runs of names; ids follow first appearance,
+    then ``extra_nodes``.  Each run's names become ids before the next
+    run is read, so a loader holds one run's strings at a time."""
+    index: dict[str, int] = {}
+    ends = [np.zeros(0, dtype=np.int32), *(_intern(index, names) for names in runs)]
+    _intern(index, list(extra_nodes))
+    return _canonical(len(index), tuple(index), np.concatenate(ends))
+
+
+def _intern(index: dict[str, int], names: list[str]) -> np.ndarray:
+    """The int32 ids of ``names``; each name not yet in ``index`` is
+    added to it first, under the next id, in order of first appearance."""
+    # update stores each new name before the filter reads the next one,
+    # so a repeated new name is stored once
+    index.update(zip(filterfalse(index.__contains__, names), count(len(index))))
+    return np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
 
 
 # -- loaders -------------------------------------------------------------
+
+# a line end as ``str.splitlines`` finds it: the one line rule of the
+# loaders and of their error line numbers
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _line_of(text: str, pos: int) -> int:
+    """The 1-based number of the line that holds position ``pos``."""
+    return 1 + sum(1 for _ in _LINE_END.finditer(text, 0, pos))
 
 
 def _decode(source) -> str:
@@ -300,18 +321,48 @@ def _decode(source) -> str:
     try:
         return data if isinstance(data, str) else data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError("input is not valid UTF-8", line) from None
+        valid = data[: exc.start].decode("utf-8")
+        raise ParseError("input is not valid UTF-8", _line_of(valid, len(valid))) from None
+
+
+def _line_runs(text: str, start: int = 0, stop: int | None = None):
+    """``text[start:stop].splitlines()`` in consecutive runs of lines,
+    each as ``(number of its first line, lines)``.
+
+    A run ends at the first line end at least ``_BATCH_CELLS // 64``
+    characters in.  Its line and name strings take a few dozen bytes a
+    character, a small part of the batch budget of ``_BATCH_CELLS``
+    8-byte cells, so beyond the decoded text a loader holds the names
+    and ids read so far and one run.
+    """
+    from .paths import _BATCH_CELLS  # paths imports this module
+
+    stop = len(text) if stop is None else stop
+    lineno = _line_of(text, start)
+    while start < stop:
+        end = _LINE_END.search(text, start + _BATCH_CELLS // 64, stop)
+        cut = end.end() if end else stop
+        lines = text[start:cut].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        start = cut
 
 
 def load_edge_list(source) -> CallGraph:
     """Parse `caller callee` lines into a canonical CallGraph.
 
-    Lines starting with ``#`` and blank lines are ignored.  Any other
-    line must hold exactly two whitespace-separated tokens.
+    Lines are those ``str.splitlines`` makes.  Lines starting with
+    ``#`` and blank lines are ignored.  Any other line must hold exactly
+    two whitespace-separated tokens.
     """
-    tokens: list[str] = []
-    for lineno, raw in enumerate(_decode(source).splitlines(), start=1):
+    return _from_tokens(map(_edge_list_names, _line_runs(_decode(source))))
+
+
+def _edge_list_names(run) -> list[str]:
+    """The caller and callee names of a run of edge-list lines, in order."""
+    first, lines = run
+    names: list[str] = []
+    for lineno, raw in enumerate(lines, start=first):
         if raw.startswith("#"):
             continue
         pair = raw.split()
@@ -319,8 +370,8 @@ def load_edge_list(source) -> CallGraph:
             if not pair:
                 continue
             raise ParseError(f"expected 'caller callee', got {len(pair)} tokens", lineno)
-        tokens += pair
-    return _from_tokens(tokens)
+        names += pair
+    return names
 
 
 _DOT_NAME = r'"(?:[^"\\]|\\.)*"|[A-Za-z0-9_.:<>+-]+'
@@ -346,7 +397,8 @@ def load_dot_subset(source) -> CallGraph:
     Attributes after an edge are ignored.  Subgraphs, undirected edges
     and any other DOT construct raise ParseError naming the construct.
     Node names may be bare identifiers or double-quoted strings, but a
-    quoted name cannot contain `;` or a newline (statement separators).
+    quoted name cannot contain `;` or a line end (statement separators;
+    lines are those ``str.splitlines`` makes).
     """
     text = _decode(source)
     header = _DOT_HEADER.match(text)
@@ -354,17 +406,17 @@ def load_dot_subset(source) -> CallGraph:
         raise ParseError("expected 'digraph ... {' header", 1)
     close = text.rfind("}")
     if close < header.end():
-        raise ParseError(
-            "missing closing '}'", text.count("\n") + 1
-        )
+        raise ParseError("missing closing '}'", _line_of(text, len(text)))
     if text[close + 1 :].strip():
-        raise ParseError(
-            "content after closing '}'", text.count("\n", 0, close + 1) + 1
-        )
-    body = text[header.end() : close]
-    first_line = text.count("\n", 0, header.end()) + 1
-    tokens: list[str] = []
-    for lineno, line in enumerate(body.split("\n"), start=first_line):
+        raise ParseError("content after closing '}'", _line_of(text, close + 1))
+    return _from_tokens(map(_dot_names, _line_runs(text, header.end(), close)))
+
+
+def _dot_names(run) -> list[str]:
+    """The edge end names of a run of DOT body lines, in order."""
+    first, lines = run
+    names: list[str] = []
+    for lineno, line in enumerate(lines, start=first):
         for raw in line.split(";"):
             stmt = raw.strip()
             if not stmt:
@@ -376,8 +428,8 @@ def load_dot_subset(source) -> CallGraph:
                 raise ParseError(f"unsupported DOT construct: {stmt!r}", lineno)
             if edge.group("op") == "--":
                 raise ParseError("unsupported DOT construct: undirected edge", lineno)
-            tokens += map(_dot_unquote, edge.group("src", "dst"))
-    return _from_tokens(tokens)
+            names += map(_dot_unquote, edge.group("src", "dst"))
+    return names
 
 
 def load_graph(path, fmt: str) -> CallGraph:

@@ -18,11 +18,12 @@ from .graph import (
     weak_components,
 )
 
-# Working-set bound of the batched traversals, in array cells: a bitset
-# batch keeps about this many uint64 words per node-indexed array and
-# gathers at most this many per reduction; a Brandes block holds this
-# many (source, node) cells and DAG arcs.  At 2**19 the temporaries
-# stay at a few MiB whatever the graph size.
+# The batch budget, in 8-byte array cells (4 MiB).  Each batched kernel
+# charges an item for the cells its batch keeps alive: a bitset word
+# four per node (see _bitset_bfs), a Brandes source its (source, node)
+# cells and DAG arcs.  One batch's transients then stay within three
+# budgets plus 32 B per stored arc whatever the graph size, as
+# tests/test_memory.py checks; the loaders size their runs from it too.
 _BATCH_CELLS = 1 << 19
 
 
@@ -50,6 +51,12 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     depth 1, 2, ...: bit r % 64 of ``bits[r // 64, k]`` is set when row
     r first reaches ``nodes[k]`` at that depth.  Stops when no row
     advances or after ``depth_cap`` levels.
+
+    A level keeps up to four words x nodes arrays alive: the visited
+    bits, the frontier the caller holds, the bits the level reaches and
+    the visited bits they are tested against.  So callers charge each
+    word four cells per node; the gather of a level takes at most
+    ``_BATCH_CELLS`` more.
     """
     n = len(indptr) - 1
     rows = np.arange(len(sources))
@@ -62,7 +69,7 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     bits = visited[:, nodes]
     if banned is not None:
         np.bitwise_or.at(visited, (word, banned), bit)
-    owner = np.repeat(np.arange(n), np.diff(indptr))
+    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     slot = np.full(n, -1, dtype=np.intp)
     depth = 0
     while nodes.size and depth != depth_cap:
@@ -79,13 +86,19 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
         dest = dest[starts]
         reached = np.empty((len(bits), starts.size), dtype=np.uint64)
         for w0, w1 in _batches(np.full(len(bits), live.size)):
-            reached[w0:w1] = np.bitwise_or.reduceat(
-                bits[w0:w1].take(pred, axis=1), starts, axis=1
+            np.bitwise_or.reduceat(
+                bits[w0:w1].take(pred, axis=1), starts, axis=1, out=reached[w0:w1]
             )
-        new = reached & ~visited[:, dest]
-        keep = new.any(axis=0)
-        nodes, bits = dest[keep], new[:, keep]
-        visited[:, nodes] |= bits
+        # in place: reached | seen is the new visited, and its xor with
+        # seen the bits first reached here; seen goes before the new
+        # frontier is copied out, so no more than four arrays are alive
+        seen = visited[:, dest]
+        reached |= seen
+        visited[:, dest] = reached
+        reached ^= seen
+        del seen
+        keep = reached.any(axis=0)
+        nodes, bits = dest[keep], reached[:, keep]
         yield depth, nodes, bits
 
 
@@ -133,8 +146,8 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     n = g.n
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
-    # items are bitset words of 64 sources, each n cells wide
-    words = _batches(np.full((n + 63) >> 6, n))
+    # items are bitset words of 64 sources, charged as _bitset_bfs asks
+    words = _batches(np.full((n + 63) >> 6, 4 * n))
     for counts in _pmap(_depth_counts, (indptr, indices), words):
         per_depth.update(counts)
     reachable = sum(per_depth.values())

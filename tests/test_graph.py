@@ -20,6 +20,7 @@ from cgtopo import (
     to_edge_list,
     weak_components,
 )
+from cgtopo import paths
 from cgtopo.fixtures import permutation_core_graph
 from cgtopo.graph import _ranges
 from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
@@ -420,3 +421,131 @@ def test_analyze_graph_builds_no_tuple_views(monkeypatch):
     assert not failures and report["graph"]["wcc_n"] == 4
     for graph in (g, g.undirected):
         assert "out_adj" not in vars(graph) and "in_adj" not in vars(graph)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_loaders_split_lines_at_every_line_end(end):
+    dot = load_dot_subset(f"digraph g {{{end} a -> b{end} c -> d{end}}}{end}".encode())
+    edges = load_edge_list(f"a b{end}c d{end}".encode())
+    for g in (dot, edges):
+        assert g.names == ("a", "b", "c", "d")
+        assert sorted(g.edges()) == [(0, 1), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"a b\rc d\r\xff x\n", "input is not valid UTF-8"),
+        (b"a b\rc d\rx y z\n", "expected 'caller callee', got 3 tokens"),
+    ],
+)
+def test_utf8_error_counts_lines_as_the_loader_does(data, message):
+    # CR-only line ends: both faults are on the third line
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(data)
+    assert str(exc.value) == f"line 3: {message}"
+
+
+# line ends as str.splitlines knows them (all but \x1d, \x1e and \u2029)
+_LINE_ENDS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\N{LINE SEPARATOR}"]
+)
+
+
+def _lines_ended(draw, lines):
+    return "".join(line + draw(_LINE_ENDS) for line in lines)
+
+
+def _with_a_fault(draw, lines, faults):
+    """``lines`` with one of ``faults`` inserted, half the time."""
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(faults)))
+    return lines
+
+
+_EDGE_NAMES = st.sampled_from(["a", "b", "c", "#d", "e.f"])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    edge = st.tuples(
+        st.sampled_from(["", " "]), _EDGE_NAMES, st.sampled_from([" ", "\t", " \t "]), _EDGE_NAMES
+    ).map("".join)
+    other = st.sampled_from(["", " ", "\t", "#", "# a b c", "#a b"])
+    lines = draw(st.lists(st.one_of(edge, edge, other), max_size=30))
+    return _lines_ended(draw, _with_a_fault(draw, lines, ["a", "a b c"]))
+
+
+def _edge_list_reference(text):
+    pairs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = [] if line.startswith("#") else line.split()
+        if len(tokens) not in (0, 2):
+            raise ParseError(f"expected 'caller callee', got {len(tokens)} tokens", lineno)
+        pairs += [tokens] if tokens else []
+    return CallGraph.from_name_pairs(pairs)
+
+
+# DOT spellings of node names: bare, and quoted with a space, an escaped
+# quote or a brace
+_DOT_NAMES = {"a": "a", "b": "b", "c_1": "c_1", '"x y"': "x y", '"q\\"r"': 'q"r', '"a}b"': "a}b"}
+_DOT_FAULTS = {"a b": "'a b'", "a -- b": "undirected edge", "subgraph s": "subgraph"}
+
+
+@st.composite
+def _dot_texts(draw):
+    name = st.sampled_from(sorted(_DOT_NAMES))
+    edge = st.tuples(name, name, st.sampled_from(["", " [w=1]"])).map(
+        lambda t: f"{t[0]} -> {t[1]}{t[2]}"
+    )
+    statements = st.lists(st.one_of(edge, st.just("")), max_size=3)
+    lines = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["", "  "]), statements, st.sampled_from(["", ";"])).map(
+                lambda t: t[0] + "; ".join(t[1]) + t[2]
+            ),
+            max_size=20,
+        )
+    )
+    lines = _with_a_fault(draw, lines, sorted(_DOT_FAULTS))
+    return _lines_ended(draw, ["digraph g {", *lines, "}"])
+
+
+def _dot_reference(text):
+    lines = text.splitlines()
+    assert (lines[0], lines[-1]) == ("digraph g {", "}")
+    pairs = []
+    for lineno, line in enumerate(lines[1:-1], start=2):
+        for stmt in filter(None, map(str.strip, line.split(";"))):
+            if stmt in _DOT_FAULTS:
+                raise ParseError(f"unsupported DOT construct: {_DOT_FAULTS[stmt]}", lineno)
+            src, dst = stmt.removesuffix(" [w=1]").split(" -> ")
+            pairs.append((_DOT_NAMES[src], _DOT_NAMES[dst]))
+    return CallGraph.from_name_pairs(pairs)
+
+
+def _outcome(load, *args):
+    try:
+        g = load(*args)
+    except (ParseError, InputError) as exc:
+        return type(exc).__name__, str(exc)
+    counts = (g.dropped_self_loops, g.dropped_duplicates)
+    return g.names, g.indptr.tolist(), g.indices.tolist(), counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.one_of(
+        _edge_list_texts().map(lambda t: (load_edge_list, _edge_list_reference, t)),
+        _dot_texts().map(lambda t: (load_dot_subset, _dot_reference, t)),
+    ),
+    cells=st.integers(0, 1024),
+)
+def test_chunk_cuts_change_nothing(case, cells):
+    # runs of at most 16 characters: a cut every line or two
+    load, reference, text = case
+    whole = _outcome(load, text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paths, "_BATCH_CELLS", cells)
+        cut = _outcome(load, text.encode())
+    assert cut == whole == _outcome(reference, text)

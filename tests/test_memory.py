@@ -1,0 +1,111 @@
+"""Transient memory of the batched kernels and the loaders.
+
+Each kernel's traced peak (``tracemalloc``, pool forced serial) must
+stay within three batch budgets of ``paths._BATCH_CELLS`` 8-byte cells
+plus 32 bytes per stored arc of the symmetrized graph, and each
+loader's within 10 bytes per input byte, whatever the graph size: so a
+process's peak is its graph plus a constant.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cgtopo import graph, paths, topology
+from cgtopo.fixtures import permutation_core_graph, to_edge_list
+from cgtopo.generators import ERASED_CONFIG, RandomGraphSpec, generate_random
+from cgtopo.graph import load_dot_subset, load_edge_list
+
+LOADER_BYTES_PER_INPUT_BYTE = 10
+
+
+def _peak(fn, *args) -> int:
+    """Bytes allocated at the high-water mark of ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _bound(g) -> int:
+    return 3 * paths._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
+
+
+def _dot(edge_text: str) -> bytes:
+    body = "".join(f"  {a} -> {b};\n" for a, b in map(str.split, edge_text.splitlines()))
+    return f"digraph g {{\n{body}}}\n".encode()
+
+
+def _loader_overruns(text: bytes) -> dict[str, float]:
+    """Bytes of traced peak per input byte of each loader over its bound,
+    on the edge list ``text`` and on its DOT rendering."""
+    over = {}
+    for load, data in ((load_edge_list, text), (load_dot_subset, _dot(text.decode()))):
+        ratio = _peak(load, data) / len(data)
+        if ratio > LOADER_BYTES_PER_INPUT_BYTE:
+            over[load.__name__] = ratio
+    return over
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    # the pool's workers are other processes, out of the tracer's sight
+    monkeypatch.setattr(graph, "_cpus", lambda: 1)
+
+
+@pytest.fixture(scope="module")
+def kernel_5000():
+    # the scaled kernel fixture of the benchmark: n 5,000, 34,702 stored
+    # arcs once symmetrized, so a bound of 13.1 MiB
+    return permutation_core_graph(5000, 17359, seed=12)
+
+
+def test_path_kernels_within_bound(serial, kernel_5000):
+    g = kernel_5000
+    h = g.undirected
+    h.weak_search  # the analysis has cached it before the profile runs
+    block = next(paths._batches(np.full(g.n, max(g.n, g.indices.size))))
+    peaks = {
+        "geodesic": _peak(paths.harmonic_geodesic_mean, g),
+        "pair_classes": _peak(topology._pair_classes, h, 6),
+        "brandes_block": _peak(paths._brandes_block, *g.csr, block),
+    }
+    assert {name: peak for name, peak in peaks.items() if peak > _bound(g)} == {}
+
+
+def test_profile_of_a_heavy_tailed_graph_within_bound(serial):
+    # the analyze-powerlaw benchmark graph: its hubs lead most pairs
+    g = generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=7))
+    h = g.undirected
+    h.weak_search
+    assert _peak(topology._pair_classes, h, 6) <= _bound(g)
+
+
+def test_loaders_within_bound(kernel_5000):
+    assert _loader_overruns(to_edge_list(kernel_5000).encode()) == {}
+
+
+@pytest.mark.kernel_scale
+def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
+    # the same bounds on the kernel-scale demo graph (n 20,165, 140,012
+    # stored arcs once symmetrized, so 16.3 MiB): they do not grow with n
+    text = (corpus_dir / "linux-2.6.12-rc2-sim.edges").read_bytes()
+    loaders = _loader_overruns(text)
+    g = load_edge_list(text)
+    assert (g.n, g.m) == (20_165, 70_010)
+    h = g.undirected
+    h.weak_search
+
+    def first_span(fn, shared, items):
+        # as _pmap does, the spans are listed before any runs
+        return [fn(*shared, list(items)[0])]
+
+    peaks = {"geodesic": _peak(paths.harmonic_geodesic_mean, g)}
+    # the profile's shared arrays and its first span of lead arcs
+    monkeypatch.setattr(topology, "_pmap", first_span)
+    peaks["pair_classes"] = _peak(topology._pair_classes, h, 6)
+    kernels = {name: peak for name, peak in peaks.items() if peak > _bound(g)}
+    assert (loaders, kernels) == ({}, {})

@@ -407,10 +407,10 @@ def test_batched_kernels_independent_of_batch_size(monkeypatch, n):
     geo = harmonic_geodesic_mean(g)
     geo_dir = harmonic_geodesic_mean(g, directed=True)
     btw = betweenness(g).values
-    # 1 cell: one bitset word and one Brandes source per batch; 4n
-    # cells: four words per batch, reduced one or two words at a time;
-    # then blocks of exactly 64 sources
-    for cells in (1, 4 * g.n, 64 * max(g.n, g.m)):
+    # 1 cell: one bitset word and one Brandes source per batch; 16n
+    # cells: four words per batch (each charged 4n), reduced one or two
+    # words at a time; then blocks of exactly 64 sources
+    for cells in (1, 16 * g.n, 64 * max(g.n, g.m)):
         monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
         assert harmonic_geodesic_mean(g) == geo
         assert harmonic_geodesic_mean(g, directed=True) == geo_dir

@@ -70,7 +70,7 @@ def test_kernels_identical_at_any_worker_count(monkeypatch):
         _workers(monkeypatch, count)
         got = [betweenness(g).values]
         with monkeypatch.context() as mp:
-            # 8 geodesic batches and 126 profile batches
+            # 32 geodesic batches and 316 profile batches
             mp.setattr(paths, "_BATCH_CELLS", 1 << 13)
             got.append(harmonic_geodesic_mean(g))
             got.append(harmonic_geodesic_mean(g, directed=True))
