@@ -1,5 +1,23 @@
 """Topological metrics and epidemic-threshold analysis for static call graphs."""
 
+import os
+import sys
+
+# numpy's OpenBLAS starts one spinning thread per CPU when it loads, and
+# its reductions then sum in an order that depends on that count.  The
+# only BLAS calls here are the Lanczos products on at most 20 x n arrays,
+# which gain nothing from threads, so load numpy with one BLAS thread
+# unless the caller chose a count.  OpenBLAS reads the variable once, at
+# load, so it is taken out again: subprocesses never see it.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    del numpy
+del os, sys
+
 from .corpus import CorpusEntry, ValidationError, load_entry, parse_manifest, read_manifest
 from .degree import (
     DegenerateSampleError,

@@ -302,8 +302,9 @@ def _pair_classes(h: CallGraph, d_max: int) -> np.ndarray:
     later = indptr[owner + 1] - np.arange(arcs) - 1
     classes = np.zeros((n, d_max + 2), dtype=np.int64)
     # a lead arc costs about eight int64 cells per pair it leads, and
-    # its bitset row 1/64 of what _bitset_bfs charges a 64-row word
-    spans = paths._batches(8 * later + 4 * ((n + 63) >> 6))
+    # its bitset row 1/64 of what _bitset_bfs charges a 64-row word; an
+    # arc that leads no pair searches no row
+    spans = paths._batches(np.where(later > 0, 8 * later + 4 * ((n + 63) >> 6), 0))
     shared = (indptr, indices, owner, block, later, d_max)
     for first, part in _pmap(_lead_classes, shared, spans):
         classes[first : first + len(part)] += part

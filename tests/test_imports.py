@@ -6,6 +6,8 @@ blocks come from one depth-first search, and lambda1 from a numpy
 Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
 scipy, and no command calls it; a scan of the source keeps it the only
 one.  Corpus pool workers import nothing their parent did not.
+``import cgtopo`` loads numpy with one BLAS thread unless the caller
+chose a count, and leaves the environment as it found it.
 """
 
 import ast
@@ -21,9 +23,10 @@ from cgtopo.fixtures import star_graph, to_edge_list
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 
 
-def _run(script: str, *argv) -> str:
-    """stdout of ``script`` run by a fresh interpreter."""
-    env = dict(os.environ)
+def _run(script: str, *argv, env=None) -> str:
+    """stdout of ``script`` run by a fresh interpreter, in ``env``
+    (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(cgtopo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -196,3 +199,54 @@ def test_corpus_workers_import_nothing_new(tmp_path):
         assert int(pid) != result["parent"]
         seen[label] = json.loads(path.read_text(encoding="utf-8"))
     assert seen == {label: [] for label in _CORPUS}
+
+
+def _unset_blas_threads() -> dict:
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+_THREADS = """
+    import json, os, sys
+    if sys.argv[1:] == ["numpy-first"]:
+        import numpy
+    import cgtopo
+    task = "/proc/self/task"
+    print(json.dumps({
+        "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+        "variable": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }))
+"""
+
+
+def test_import_loads_numpy_with_one_blas_thread():
+    # OpenBLAS would start one spinning thread per CPU; the setting
+    # that stops it is taken out of the environment again
+    got = json.loads(_run(_THREADS, env=_unset_blas_threads()))
+    assert got["variable"] is None
+    if got["threads"] is not None:
+        assert got["threads"] == 1
+
+
+def test_import_keeps_the_callers_blas_setting():
+    chosen = json.loads(_run(_THREADS, env={**os.environ, "OPENBLAS_NUM_THREADS": "3"}))
+    assert chosen["variable"] == "3"
+    # with numpy already loaded, cgtopo leaves the environment untouched
+    first = json.loads(_run(_THREADS, "numpy-first", env=_unset_blas_threads()))
+    assert first["variable"] is None
+
+
+def test_spectral_bits_do_not_depend_on_the_blas_setting(corpus_dir):
+    # the Lanczos basis products are BLAS calls whose sums follow the
+    # thread count; the kernel-scale demo graph shows it in residual
+    script = """
+        import json, sys
+        from cgtopo.epidemic import spectral_radius
+        from cgtopo.graph import load_graph
+        res = spectral_radius(load_graph(sys.argv[1], "edgelist"))
+        print(json.dumps([repr(res.lambda1), res.iterations, repr(res.residual)]))
+    """
+    path = corpus_dir / "linux-2.6.12-rc2-sim.edges"
+    unset = _unset_blas_threads()
+    by_default = json.loads(_run(script, path, env=unset))
+    one_thread = json.loads(_run(script, path, env={**unset, "OPENBLAS_NUM_THREADS": "1"}))
+    assert by_default == one_thread

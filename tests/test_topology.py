@@ -351,6 +351,30 @@ def test_profile_row_batches(monkeypatch, rows):
             assert clustering_profile(g, d_max) == want
 
 
+def test_profile_spans_charge_only_arcs_that_lead_pairs(monkeypatch):
+    # the last arc of each node, a degree-1 node's only one, leads no
+    # pair and searches no bitset row, so no span is cut for it: every
+    # span after the first starts at an arc that leads a pair
+    h = symmetrize(generate_random(RandomGraphSpec(model=GNM, n=600, m=700, seed=3)))
+    indptr = h.indptr
+    owner = np.repeat(np.arange(h.n), np.diff(indptr))
+    later = indptr[owner + 1] - np.arange(len(h.indices)) - 1
+    assert np.count_nonzero(np.diff(indptr) == 1) > 100
+    want = topology._pair_classes(h, 2)
+    spans = []
+
+    def recording(fn, shared, items):
+        items = list(items)
+        spans.extend(items)
+        return [fn(*shared, item) for item in items]
+
+    monkeypatch.setattr(topology, "_pmap", recording)
+    monkeypatch.setattr(paths, "_BATCH_CELLS", 512)
+    assert topology._pair_classes(h, 2).tolist() == want.tolist()
+    assert len(spans) > 10
+    assert [start for start, _ in spans[1:] if later[start] == 0] == []
+
+
 _LARGE = [
     generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=4)),
     generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=600, gamma=2.5, seed=5)),
