@@ -28,14 +28,14 @@ class CorpusEntry:
     expected_m: int | None = None
 
 
-def parse_manifest(text, base_dir: str | None = None) -> list[CorpusEntry]:
+def parse_manifest(text: bytes | str, base_dir: str | None = None) -> list[CorpusEntry]:
     """Parse manifest text into entries; see module docstring for format."""
     text = _decode(text)
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip() or raw.startswith("#"):
             continue
-        fields = raw.rstrip("\n").split("\t")
+        fields = raw.split("\t")
         if len(fields) not in (4, 6):
             raise ParseError(
                 f"expected 4 or 6 tab-separated fields, got {len(fields)}", lineno

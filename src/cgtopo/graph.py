@@ -316,12 +316,11 @@ def _line_of(text: str, pos: int) -> int:
     return 1 + sum(1 for _ in _LINE_END.finditer(text, 0, pos))
 
 
-def _decode(source) -> str:
-    data = source if isinstance(source, (bytes, str)) else source.read()
+def _decode(source: bytes | str) -> str:
     try:
-        return data if isinstance(data, str) else data.decode("utf-8")
+        return source if isinstance(source, str) else source.decode("utf-8")
     except UnicodeDecodeError as exc:
-        valid = data[: exc.start].decode("utf-8")
+        valid = source[: exc.start].decode("utf-8")
         raise ParseError("input is not valid UTF-8", _line_of(valid, len(valid))) from None
 
 
@@ -348,7 +347,7 @@ def _line_runs(text: str, start: int = 0, stop: int | None = None):
         start = cut
 
 
-def load_edge_list(source) -> CallGraph:
+def load_edge_list(source: bytes | str) -> CallGraph:
     """Parse `caller callee` lines into a canonical CallGraph.
 
     Lines are those ``str.splitlines`` makes.  Lines starting with
@@ -390,7 +389,7 @@ def _dot_unquote(token: str) -> str:
     return token
 
 
-def load_dot_subset(source) -> CallGraph:
+def load_dot_subset(source: bytes | str) -> CallGraph:
     """Parse a restricted DOT digraph: `a -> b [attrs];` statements
     inside one `digraph name { ... }` block.
 
@@ -453,37 +452,25 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
     """
     n = g.n
     # the smallest neighbour of each node, either direction; n if none
-    first = np.full(n, n, dtype=np.int64)
-    for indptr, indices in (g.csr, g.in_csr):
-        has = np.flatnonzero(np.diff(indptr))
-        first[has] = np.minimum(first[has], indices[indptr[has]])
-    if not drop_isolated and (first == n).any():
+    indptr, indices = g.undirected.csr
+    first = np.where(np.diff(indptr) > 0, np.append(indices, n)[indptr[:-1]], n)
+    linked = first < n
+    if not drop_isolated and not linked.all():
         raise InputError("edge-list format cannot represent isolated nodes")
+    # one leading edge per node, in id order, to its smallest neighbour,
+    # but none for a node that an opener (a node with no smaller
+    # neighbour) has as its smallest neighbour: the opener's edge
+    # introduces it
+    opens = linked & (np.arange(n) < first)
+    introduced = np.zeros(n, dtype=bool)
+    introduced[first[opens]] = True
+    t = np.flatnonzero(linked & ~introduced)
+    lo, hi = np.minimum(t, first[t]), np.maximum(t, first[t])
     tails, heads = g.arcs()
-    arcs = tails * n + heads
     # isin operands are distinct: codes by construction, leads each add a new node
-    ids = np.arange(n - 1, dtype=np.int64)
-    forward = np.isin(ids * n + ids + 1, arcs, assume_unique=True).tolist()
-    # one leading edge per node, in id order, introducing the node: to
-    # its smallest neighbour, already introduced when smaller; else to
-    # t + 1 when t calls it, so the callee's id follows
-    introduced = [False] * n
-    lead = []
-    for t, u in enumerate(first.tolist()):
-        if introduced[t] or u == n:
-            continue
-        if u < t:
-            lead.append((u, t))
-        elif forward[t]:
-            lead.append((t, t + 1))
-            introduced[t + 1] = True
-        else:
-            lead.append((t, u))
-            introduced[u] = True
-    lo, hi = np.array(lead, dtype=np.int64).reshape(-1, 2).T
-    lead_codes = np.where(
-        np.isin(lo * n + hi, arcs, assume_unique=True), lo * n + hi, hi * n + lo
-    )
+    lead_codes = lo * n + hi
+    stored = np.isin(lead_codes, tails * n + heads, assume_unique=True)
+    lead_codes = np.where(stored, lead_codes, hi * n + lo)
     u, v = g.edge_arrays()
     codes = u * n + v
     codes = np.concatenate(
@@ -492,7 +479,7 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
     names = g.names
     callers = np.zeros(n, dtype=bool)
     callers[codes // n] = True
-    for i in np.flatnonzero(first < n).tolist():
+    for i in np.flatnonzero(linked).tolist():
         name = names[i]
         if name.split() != [name] or (callers[i] and name.startswith("#")):
             raise InputError(f"edge-list format cannot carry node name {name!r}")
@@ -552,21 +539,11 @@ def _dfs(indptr, indices, roots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array(a, dtype=np.int64) for a in (preorder, parent, postorder))
 
 
-def components(g: CallGraph, connection: str) -> list[list[int]]:
-    """``connection`` ("weak" or "strong") components as sorted id lists,
-    largest first, ties on size broken toward the smallest member id.
-
-    A component is one tree of a depth-first search: over the symmetrized
-    graph for weak ones; for strong ones (Kosaraju; Sharir 1981) over the
-    in-arcs, from the roots in reverse postorder of a search over the
-    out-arcs.
-    """
-    if connection == "weak":
-        order, parent = g.weak_search
-    else:
-        finished = _dfs(*g.csr, range(g.n))[2]
-        order, parent, _ = _dfs(*g.in_csr, finished[::-1].tolist())
-    # each tree is the run of the preorder that starts at its root
+def _trees(order, parent) -> list[list[int]]:
+    """The trees of a depth-first search (see ``_dfs``) as sorted id
+    lists, largest first, ties on size broken toward the smallest member
+    id: each tree is the run of the preorder ``order`` that starts at a
+    root, a node whose ``parent`` is -1."""
     roots = np.flatnonzero(parent[order] < 0)
     comps = [np.sort(tree).tolist() for tree in np.split(order, roots[1:])]
     comps.sort(key=lambda c: (-len(c), c[0]))
@@ -578,7 +555,7 @@ def weak_components(g: CallGraph) -> list[list[int]]:
 
     Ties on size break toward the component with the smallest member id.
     """
-    return components(g, "weak")
+    return _trees(*g.weak_search)
 
 
 def largest_wcc(g: CallGraph) -> CallGraph:

@@ -11,10 +11,11 @@ import numpy as np
 from .graph import (
     CallGraph,
     InputError,
+    _dfs,
     _pmap,
     _ranges,
+    _trees,
     _unique,
-    components,
     weak_components,
 )
 
@@ -153,20 +154,13 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     reachable = sum(per_depth.values())
     inv_sum = fsum(count / depth for depth, count in per_depth.items())
     ordered_pairs = n * (n - 1)
-    fraction = reachable / ordered_pairs
-    if reachable == 0:
-        return GeodesicSummary(
-            harmonic_mean_ell=None,
-            inverse_distance_sum=inv_sum,
-            reachable_pair_fraction=0.0,
-            directed=directed,
-            reason="no reachable ordered pair",
-        )
+    defined = reachable > 0
     return GeodesicSummary(
-        harmonic_mean_ell=ordered_pairs / inv_sum,
+        harmonic_mean_ell=ordered_pairs / inv_sum if defined else None,
         inverse_distance_sum=inv_sum,
-        reachable_pair_fraction=fraction,
+        reachable_pair_fraction=reachable / ordered_pairs,
         directed=directed,
+        reason=None if defined else "no reachable ordered pair",
     )
 
 
@@ -261,8 +255,14 @@ def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:
 
 
 def strongly_connected_components(g: CallGraph) -> list[list[int]]:
-    """Strongly connected components, ordered as in ``weak_components``."""
-    return components(g, "strong")
+    """Strongly connected components, ordered as in ``weak_components``.
+
+    Each is one tree of a depth-first search over the in-arcs from the
+    roots in reverse postorder of a search over the out-arcs (Kosaraju;
+    Sharir 1981).
+    """
+    finished = _dfs(*g.csr, range(g.n))[2]
+    return _trees(*_dfs(*g.in_csr, finished[::-1].tolist())[:2])
 
 
 def component_stats(g: CallGraph) -> ComponentStats:

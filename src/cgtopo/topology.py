@@ -111,11 +111,11 @@ def assortativity(g: CallGraph, mode: str) -> AssortativityResult:
     m3 = (sum((j * j + k * k).tolist()) / 2) / count
     numerator = m1 - m2 * m2
     denominator = m3 - m2 * m2
-    if denominator == 0.0:
-        return AssortativityResult(
-            rho=None, reason="zero variance of edge-endpoint degrees"
-        )
-    return AssortativityResult(rho=numerator / denominator)
+    defined = denominator != 0.0
+    return AssortativityResult(
+        rho=numerator / denominator if defined else None,
+        reason=None if defined else "zero variance of edge-endpoint degrees",
+    )
 
 
 def scale_free_metric(g: CallGraph) -> ScaleFreeResult:
@@ -144,22 +144,15 @@ def clustering(g: CallGraph) -> ClusteringResult:
         ci if ki >= 2 else None for ci, ki in zip(c.tolist(), k.tolist())
     )
     defined = np.flatnonzero(k >= 2)
-    if defined.size == 0:
-        return ClusteringResult(
-            per_node=per_node,
-            global_c=None,
-            by_degree={},
-            defined_count=0,
-            reason="no node with degree >= 2",
-        )
     c, k = c[defined], k[defined]
     return ClusteringResult(
         per_node=per_node,
-        global_c=fsum(c) / defined.size,
+        global_c=fsum(c) / defined.size if defined.size else None,
         by_degree={
             int(kk): fsum(c[k == kk]) / np.count_nonzero(k == kk) for kk in _unique(k)
         },
         defined_count=int(defined.size),
+        reason=None if defined.size else "no node with degree >= 2",
     )
 
 
@@ -390,13 +383,10 @@ def reciprocity(g: CallGraph) -> ReciprocityResult:
     reciprocal = int(np.isin(heads * g.n + tails, arcs, assume_unique=True).sum())
     varrho = reciprocal / g.m
     a_bar = g.m / (g.n * (g.n - 1))
-    if a_bar == 1.0:
-        return ReciprocityResult(
-            varrho=varrho,
-            a_bar=a_bar,
-            rho=None,
-            reason="complete directed graph leaves no room above the mean",
-        )
+    defined = a_bar != 1.0
     return ReciprocityResult(
-        varrho=varrho, a_bar=a_bar, rho=(varrho - a_bar) / (1.0 - a_bar)
+        varrho=varrho,
+        a_bar=a_bar,
+        rho=(varrho - a_bar) / (1.0 - a_bar) if defined else None,
+        reason=None if defined else "complete directed graph leaves no room above the mean",
     )

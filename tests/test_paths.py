@@ -102,6 +102,13 @@ def test_harmonic_mean_no_reachable_pair():
     assert res.reason
 
 
+def test_harmonic_mean_undefined_result_is_pinned():
+    res = harmonic_geodesic_mean(CallGraph.from_id_pairs(3, []))
+    assert res == paths.GeodesicSummary(None, 0.0, 0.0, False, "no reachable ordered pair")
+    assert type(res.inverse_distance_sum) is float
+    assert type(res.reachable_pair_fraction) is float
+
+
 def test_harmonic_mean_monotone_under_edge_addition():
     for seed in range(25):
         g = generate_random(RandomGraphSpec(model=GNM, n=14, m=20, seed=seed))

@@ -31,7 +31,14 @@ from cgtopo.fixtures import (
 from cgtopo import paths, topology
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph, largest_wcc, load_graph
-from cgtopo.topology import DISCONNECTED, ClusteringProfile, ScaleFreeResult
+from cgtopo.topology import (
+    DISCONNECTED,
+    AssortativityResult,
+    ClusteringProfile,
+    ClusteringResult,
+    ReciprocityResult,
+    ScaleFreeResult,
+)
 
 from conftest import rows
 
@@ -63,6 +70,11 @@ def test_assortativity_regular_graph_undefined():
     res = assortativity(cycle_graph(6), "total")
     assert res.rho is None
     assert "variance" in res.reason
+
+
+def test_assortativity_undefined_result_is_pinned():
+    res = assortativity(cycle_graph(5), "total")
+    assert res == AssortativityResult(None, "zero variance of edge-endpoint degrees")
 
 
 def test_assortativity_modes_differ_on_directed_graph():
@@ -103,6 +115,11 @@ def test_clustering_triangle_and_path():
     assert p.global_c == 0.0
     assert p.defined_count == 1  # only the middle node has k >= 2
     assert p.per_node[0] is None and p.per_node[2] is None
+
+
+def test_clustering_undefined_result_is_pinned():
+    res = clustering(path_graph(2))
+    assert res == ClusteringResult((None, None), None, {}, 0, "no node with degree >= 2")
 
 
 def test_clustering_bridged_triangles_hand_value():
@@ -201,6 +218,12 @@ def test_reciprocity_complete_digraph_undefined():
     assert res.rho is None
     assert res.varrho == 1.0
     assert res.reason
+
+
+def test_reciprocity_undefined_result_is_pinned():
+    res = reciprocity(complete_graph(4))
+    reason = "complete directed graph leaves no room above the mean"
+    assert res == ReciprocityResult(1.0, 1.0, None, reason)
 
 
 def _reference_profile(g, d_max):
