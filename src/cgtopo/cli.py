@@ -21,13 +21,12 @@ from .epidemic import (
     threshold_sweep,
     validate_params,
 )
-from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, SpecError, validate_model
-from .graph import CallGraphError, InputError, ParseError
+from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, validate_model
+from .graph import CallGraphError, ConfigError, InputError, ParseError
 from .report import (
     CORPUS_DEFAULT_METRICS,
     METRICS,
     AnalysisConfig,
-    ConfigError,
     analyze_corpus,
     analyze_graph,
     compare_baseline,
@@ -173,15 +172,6 @@ def _initial(args) -> tuple[int, ...] | int:
     return args.initial_count
 
 
-def _check_flags(check, *args) -> None:
-    """Run a library parameter check before any input is read, so a bad
-    flag value is a config error, not an input error."""
-    try:
-        check(*args)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _run_analyze(args) -> int:
     """analyze, and baseline: analyze plus the random-ensemble section."""
     config = _config(args, METRICS)
@@ -227,7 +217,7 @@ def _sis_params(args, beta: float) -> SisParams:
         max_steps=args.steps,
         seed=args.seed,
     )
-    _check_flags(validate_params, params)
+    validate_params(params)
     return params
 
 
@@ -258,7 +248,7 @@ def _run_simulate(args) -> int:
 def _run_sweep(args) -> int:
     ratios = _numbers(args.ratios, float, "--ratios")
     base = _sis_params(args, 0.0)
-    _check_flags(sweep_betas, ratios, args.runs, args.delta)
+    sweep_betas(ratios, args.runs, args.delta)
     g = load_graph(args.path, args.format)
     sweep = threshold_sweep(g, ratios, args.runs, base)
     if args.output == "csv":
@@ -286,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except (ConfigError, SpecError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, InputError, ValidationError, OSError) as exc:

@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, InputError, _pmap, _ranges, largest_wcc
+from .graph import (
+    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _ranges, largest_wcc
+)
 
 
 class ConvergenceError(CallGraphError):
@@ -168,19 +170,20 @@ def _lanczos(matvec, n: int, cycles: int):
 
 
 def validate_params(p: SisParams, n: int | None = None) -> None:
-    """Raise InputError on SIS parameters no run can take; the checks
-    against the node count run only when ``n`` is given."""
+    """Raise ConfigError on SIS parameters no run can take, and
+    InputError on those that do not fit the node count ``n``, checked
+    only when it is given."""
     if not 0.0 <= p.beta <= 1.0:
-        raise InputError(f"beta must be in [0, 1], got {p.beta}")
+        raise ConfigError(f"beta must be in [0, 1], got {p.beta}")
     if not 0.0 <= p.delta <= 1.0:
-        raise InputError(f"delta must be in [0, 1], got {p.delta}")
+        raise ConfigError(f"delta must be in [0, 1], got {p.delta}")
     if p.max_steps < 1:
-        raise InputError(f"max_steps must be >= 1, got {p.max_steps}")
+        raise ConfigError(f"max_steps must be >= 1, got {p.max_steps}")
     if p.seed < 0:
-        raise InputError(f"seed must be non-negative, got {p.seed}")
+        raise ConfigError(f"seed must be non-negative, got {p.seed}")
     if isinstance(p.initial_infected, int):
         if p.initial_infected < 1:
-            raise InputError(
+            raise ConfigError(
                 f"initial infected count must be >= 1, got {p.initial_infected}"
             )
         if n is not None and p.initial_infected > n:
@@ -189,9 +192,11 @@ def validate_params(p: SisParams, n: int | None = None) -> None:
             )
     else:
         if not p.initial_infected:
-            raise InputError("initial infected set is empty")
+            raise ConfigError("initial infected set is empty")
         for node in p.initial_infected:
-            if node < 0 or (n is not None and node >= n):
+            if node < 0:
+                raise ConfigError(f"initial infected id {node} out of range")
+            if n is not None and node >= n:
                 raise InputError(f"initial infected id {node} out of range")
 
 
@@ -262,19 +267,19 @@ def sis_simulate(g: CallGraph, params: SisParams) -> SisTrace:
 
 
 def sweep_betas(ratios, runs_per_ratio: int, delta: float) -> tuple[float, ...]:
-    """The beta of each beta/delta ratio; InputError unless the ratios
+    """The beta of each beta/delta ratio; ConfigError unless the ratios
     are nonempty and ascending, the run count positive and every beta
     in [0, 1]."""
     if not ratios:
-        raise InputError("ratios must be nonempty")
+        raise ConfigError("ratios must be nonempty")
     if list(ratios) != sorted(ratios):
-        raise InputError("ratios must be sorted ascending")
+        raise ConfigError("ratios must be sorted ascending")
     if runs_per_ratio < 1:
-        raise InputError("runs_per_ratio must be >= 1")
+        raise ConfigError("runs_per_ratio must be >= 1")
     betas = tuple(ratio * delta for ratio in ratios)
     for ratio, beta in zip(ratios, betas):
         if not 0.0 <= beta <= 1.0:
-            raise InputError(
+            raise ConfigError(
                 f"ratio {ratio} with delta {delta} gives beta outside [0, 1]"
             )
     return betas

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree import _zeta
-from .graph import CallGraph, CallGraphError
+from .graph import CallGraph, ConfigError
 
 GNM = "erdos_renyi_gnm"
 ERASED_CONFIG = "erased_configuration"
 
 
-class SpecError(CallGraphError):
+class SpecError(ConfigError):
     """Invalid random-graph parameters."""
 
 

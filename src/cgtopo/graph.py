@@ -35,6 +35,11 @@ class InputError(CallGraphError):
     """Structurally invalid input (empty graph, bad node reference, ...)."""
 
 
+class ConfigError(InputError):
+    """A parameter value that is wrong whatever the graph; the CLI exits 3
+    on it."""
+
+
 @dataclass(frozen=True, eq=False)
 class CallGraph:
     """Immutable simple graph with dense integer node ids, stored as CSR.
@@ -199,6 +204,29 @@ def _ranges(starts, counts) -> np.ndarray:
     return first + np.arange(first.size)
 
 
+# The batch budget, in 8-byte array cells (4 MiB).  Each batched kernel
+# charges an item for the cells its batch keeps alive: a bitset word
+# four per node (see paths._bitset_bfs), a Brandes source its (source,
+# node) cells and DAG arcs.  One batch's transients then stay within
+# three budgets plus 32 B per stored arc whatever the graph size, as
+# tests/test_memory.py checks; the loaders size their runs from it too.
+_BATCH_CELLS = 1 << 19
+
+
+def _batches(cost):
+    """Consecutive ``(start, stop)`` spans over items of per-item cell
+    ``cost``: each the longest run whose summed cost fits
+    ``_BATCH_CELLS``, and never empty.  The one batch rule of every
+    batched kernel, so the partition depends on the graph only."""
+    ends = np.cumsum(cost)
+    start = 0
+    while start < len(ends):
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _BATCH_CELLS, "right")))
+        yield start, stop
+        start = stop
+
+
 def _cpus() -> int:
     """The CPUs this process may run on; 1 where the platform keeps no
     affinity mask (macOS, where fork is unsafe anyway)."""
@@ -334,8 +362,6 @@ def _line_runs(text: str, start: int = 0, stop: int | None = None):
     8-byte cells, so beyond the decoded text a loader holds the names
     and ids read so far and one run.
     """
-    from .paths import _BATCH_CELLS  # paths imports this module
-
     stop = len(text) if stop is None else stop
     lineno = _line_of(text, start)
     while start < stop:

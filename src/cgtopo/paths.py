@@ -11,6 +11,7 @@ import numpy as np
 from .graph import (
     CallGraph,
     InputError,
+    _batches,
     _dfs,
     _pmap,
     _ranges,
@@ -19,39 +20,21 @@ from .graph import (
     weak_components,
 )
 
-# The batch budget, in 8-byte array cells (4 MiB).  Each batched kernel
-# charges an item for the cells its batch keeps alive: a bitset word
-# four per node (see _bitset_bfs), a Brandes source its (source, node)
-# cells and DAG arcs.  One batch's transients then stay within three
-# budgets plus 32 B per stored arc whatever the graph size, as
-# tests/test_memory.py checks; the loaders size their runs from it too.
-_BATCH_CELLS = 1 << 19
-
-
-def _batches(cost):
-    """Consecutive ``(start, stop)`` spans over items of per-item cell
-    ``cost``: each the longest run whose summed cost fits
-    ``_BATCH_CELLS``, and never empty.  The one batch rule of every
-    batched kernel, so the partition depends on the graph only."""
-    ends = np.cumsum(cost)
-    start = 0
-    while start < len(ends):
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _BATCH_CELLS, "right")))
-        yield start, stop
-        start = stop
-
-
 def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     """Multi-source BFS over a CSR graph, one bit per row, 64 rows per
     uint64 word (Then et al., "The More the Merrier", VLDB 2015).
 
     Row r starts at ``sources[r]`` and, when ``banned`` is given, never
     enters node ``banned[r]``.  The CSR is read pull-wise: row v lists
-    the nodes one step before v.  Yields ``(depth, nodes, bits)`` for
-    depth 1, 2, ...: bit r % 64 of ``bits[r // 64, k]`` is set when row
-    r first reaches ``nodes[k]`` at that depth.  Stops when no row
-    advances or after ``depth_cap`` levels.
+    the nodes one step before v.  Yields ``(depth, bits, visited)`` for
+    depth 1, 2, ...: ``bits`` holds a column per node of the new
+    frontier, bit r % 64 of ``bits[r // 64]`` set when row r first
+    reaches that node at that depth.  ``visited`` is the live words x n
+    array of every bit set so far, sources and banned nodes included: bit
+    r % 64 of ``visited[r // 64, v]`` is set once row r has reached v.
+    It is updated in place when the generator resumes, so a caller reads
+    it before asking for the next level.  Stops when no row advances or
+    after ``depth_cap`` levels.
 
     A level keeps up to four words x nodes arrays alive: the visited
     bits, the frontier the caller holds, the bits the level reaches and
@@ -100,7 +83,7 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
         del seen
         keep = reached.any(axis=0)
         nodes, bits = dest[keep], reached[:, keep]
-        yield depth, nodes, bits
+        yield depth, bits, visited
 
 
 @dataclass(frozen=True)
@@ -170,7 +153,7 @@ def _depth_counts(indptr, indices, words) -> Counter:
     w0, w1 = words
     sources = np.arange(64 * w0, min(64 * w1, len(indptr) - 1))
     counts: Counter = Counter()
-    for depth, _, bits in _bitset_bfs(indptr, indices, sources):
+    for depth, bits, _ in _bitset_bfs(indptr, indices, sources):
         counts[depth] = int(np.bitwise_count(bits).sum())
     return counts
 

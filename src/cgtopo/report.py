@@ -26,7 +26,7 @@ from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, _validate, generate_random
-from .graph import CallGraph, CallGraphError, _pmap, largest_wcc, load_graph
+from .graph import CallGraph, CallGraphError, ConfigError, _pmap, largest_wcc, load_graph
 
 VERSION = "0.1.0"
 
@@ -83,10 +83,6 @@ _BASELINE_PATHS = {
     "ell": ("geodesic", "harmonic_mean_ell"),
     "varrho": ("reciprocity", "varrho"),
 }
-
-
-class ConfigError(CallGraphError):
-    """Invalid analysis configuration."""
 
 
 @dataclass(frozen=True)
@@ -289,17 +285,18 @@ def summary_row(entry: CorpusEntry, report: dict | None, error: str | None) -> d
     return row
 
 
-def _corpus_worker(task: tuple[CorpusEntry, AnalysisConfig]) -> tuple[str, object]:
+def _corpus_worker(task: tuple[CorpusEntry, AnalysisConfig]) -> tuple:
+    """``(report, None)`` for an entry analyzed, ``(None, error)`` else."""
     entry, config = task
     try:
         g = load_entry(entry, config.fmt)
         cfg = replace(config, input_path=entry.path)
         report, _, failures = analyze_graph(g, cfg, entry.label)
         if failures and config.strict:
-            return "error", f"metrics failed: {', '.join(failures)}"
-        return "ok", report
+            return None, f"metrics failed: {', '.join(failures)}"
+        return report, None
     except (CallGraphError, OSError) as exc:
-        return "error", str(exc)
+        return None, str(exc)
 
 
 def _file_size(path) -> int:
@@ -325,18 +322,12 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     order = sorted(range(len(entries)), key=lambda i: -_file_size(entries[i].path))
     tasks = [(entries[i], config) for i in order]
     done = dict(zip(order, _pmap(_corpus_worker, (), tasks, jobs)))
-    outcomes = [done[i] for i in range(len(entries))]
     reports = []
     rows = []
-    failures = 0
-    for entry, (status, payload) in zip(entries, outcomes):
-        if status == "ok":
-            reports.append({"label": entry.label, "report": payload, "error": None})
-            rows.append(summary_row(entry, payload, None))
-        else:
-            failures += 1
-            reports.append({"label": entry.label, "report": None, "error": payload})
-            rows.append(summary_row(entry, None, payload))
+    for i, entry in enumerate(entries):
+        report, error = done[i]
+        reports.append({"label": entry.label, "report": report, "error": error})
+        rows.append(summary_row(entry, report, error))
     pairs = [(row["n"], row["lambda1"]) for row in rows if row["lambda1"] is not None]
     lambda_trend = _section(epidemic.lambda_vs_size(pairs)) if pairs else None
     return {
@@ -350,7 +341,7 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
         "entries": reports,
         "summary": rows,
         "lambda_vs_size": lambda_trend,
-        "failures": failures,
+        "failures": sum(row["error"] is not None for row in rows),
     }
 
 
@@ -390,14 +381,10 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
                 samples[key].append(value)
     metrics = {}
     for key, values in samples.items():
+        mean = sum(values) / len(values) if values else None
+        std = None
         if len(values) >= 2:
-            mean = sum(values) / len(values)
-            var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-            std = var**0.5
-        elif values:
-            mean, std = values[0], None
-        else:
-            mean = std = None
+            std = (sum((v - mean) ** 2 for v in values) / (len(values) - 1)) ** 0.5
         obs = _scalar(report, *_BASELINE_PATHS[key])
         ratio = obs / mean if (obs is not None and mean) else None
         metrics[key] = {

@@ -20,6 +20,7 @@ from .graph import (
     CallGraph,
     CallGraphError,
     InputError,
+    _batches,
     _csr,
     _pmap,
     _ranges,
@@ -175,7 +176,7 @@ def _triangles(h: CallGraph) -> np.ndarray:
     # the wedges through an arc are the out-arcs of its head
     width = np.diff(indptr)[indices]
     tri = np.zeros(n, dtype=np.int64)
-    for start, stop in paths._batches(width):
+    for start, stop in _batches(width):
         count = width[start:stop]
         mid = np.repeat(indices[start:stop], count)
         first = np.repeat(tails[start:stop], count)
@@ -297,7 +298,7 @@ def _pair_classes(h: CallGraph, d_max: int) -> np.ndarray:
     # a lead arc costs about eight int64 cells per pair it leads, and
     # its bitset row 1/64 of what _bitset_bfs charges a 64-row word; an
     # arc that leads no pair searches no row
-    spans = paths._batches(np.where(later > 0, 8 * later + 4 * ((n + 63) >> 6), 0))
+    spans = _batches(np.where(later > 0, 8 * later + 4 * ((n + 63) >> 6), 0))
     shared = (indptr, indices, owner, block, later, d_max)
     for first, part in _pmap(_lead_classes, shared, spans):
         classes[first : first + len(part)] += part
@@ -319,17 +320,14 @@ def _lead_classes(indptr, indices, owner, block, later, d_max, span):
     row_arcs, row_of = np.unique(lead[same], return_inverse=True)
     target = indices[other[same]]
     pending = np.arange(same.size)
-    slot = np.full(len(indptr) - 1, -1, dtype=np.intp)
-    for depth, nodes, bits in paths._bitset_bfs(
+    # a target is neither its row's source nor its banned node, so its
+    # visited bit is first set at the depth where the row reaches it
+    for depth, _, visited in paths._bitset_bfs(
         indptr, indices, indices[row_arcs], owner[row_arcs], d_max
     ):
-        slot[nodes] = np.arange(nodes.size)
-        at = slot[target[pending]]
-        slot[nodes] = -1
         r = row_of[pending]
-        hit = at >= 0
-        hit[hit] = (
-            bits[r[hit] >> 6, at[hit]] >> (r[hit] & 63).astype(np.uint64)
+        hit = (
+            visited[r >> 6, target[pending]] >> (r & 63).astype(np.uint64)
         ) & np.uint64(1) == 1
         cls[same[pending[hit]]] = depth
         pending = pending[~hit]
@@ -350,23 +348,25 @@ def _edge_blocks(h: CallGraph) -> np.ndarray:
     n = h.n
     indptr, indices = h.csr
     order, parent = h.weak_search
+    # nodes are numbered by preorder position from here on
     disc = np.empty(n, dtype=np.int64)
     disc[order] = np.arange(n)
-    tail = np.repeat(np.arange(n), np.diff(indptr))
-    deeper = np.where(disc[tail] > disc[indices], tail, indices)
+    tail, head = disc[np.repeat(np.arange(n), np.diff(indptr))], disc[indices]
     # an arc from the shallower end leaves its tail's low point as it is
-    low = disc.copy()
-    np.minimum.at(low, tail, disc[indices])
+    low = np.arange(n)
+    np.minimum.at(low, tail, head)
+    deeper = np.maximum(tail, head, out=head)
+    del tail
     # a root is its own parent here: that lowers no low point, and the
     # root's label, which no arc takes, opens a block of its own
-    parent = np.where(parent < 0, np.arange(n), parent).tolist()
-    order, low, disc = order.tolist(), low.tolist(), disc.tolist()
-    for v in reversed(order):
-        low[parent[v]] = min(low[parent[v]], low[v])
+    parent = parent[order]
+    up = np.where(parent < 0, np.arange(n), disc[parent]).tolist()
+    low = low.tolist()
+    for k in range(n - 1, -1, -1):
+        low[up[k]] = min(low[up[k]], low[k])
     block = [0] * n
-    for opened, v in enumerate(order):
-        p = parent[v]
-        block[v] = opened if low[v] >= disc[p] else block[p]
+    for k in range(n):
+        block[k] = k if low[k] >= up[k] else block[up[k]]
     return np.array(block)[deeper]
 
 

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from cgtopo import (
     CallGraph,
+    ConfigError,
     ConvergenceError,
     InputError,
     SisParams,
@@ -18,6 +19,7 @@ from cgtopo import (
     spectral_radius,
     threshold_sweep,
 )
+from cgtopo.epidemic import sweep_betas, validate_params
 from cgtopo.fixtures import (
     complete_graph,
     cycle_graph,
@@ -189,6 +191,30 @@ def test_sis_parameter_validation():
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(), max_steps=5, seed=1))
     with pytest.raises(InputError, match="seed"):
         sis_simulate(g, SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=-1))
+
+
+def test_param_errors_no_graph_can_fix_are_config_errors():
+    good = SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=1)
+    for bad in (
+        replace(good, beta=2),
+        replace(good, delta=-0.1),
+        replace(good, max_steps=0),
+        replace(good, seed=-1),
+        replace(good, initial_infected=0),
+        replace(good, initial_infected=()),
+        replace(good, initial_infected=(0, -1)),
+    ):
+        with pytest.raises(ConfigError):
+            validate_params(bad, 4)
+    # the checks against the node count are input errors only
+    for bad in (replace(good, initial_infected=(4,)), replace(good, initial_infected=5)):
+        validate_params(bad)
+        with pytest.raises(InputError) as info:
+            validate_params(bad, 4)
+        assert not isinstance(info.value, ConfigError)
+    for args in (([], 5, 0.5), ([1.0, 0.5], 5, 0.5), ([0.5], 0, 0.5), ([3.0], 5, 0.5)):
+        with pytest.raises(ConfigError):
+            sweep_betas(*args)
 
 
 def _oracle_sis(g, params, flips=None):

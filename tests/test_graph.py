@@ -20,7 +20,7 @@ from cgtopo import (
     to_edge_list,
     weak_components,
 )
-from cgtopo import paths
+from cgtopo import graph
 from cgtopo.fixtures import permutation_core_graph
 from cgtopo.graph import _ranges
 from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
@@ -546,6 +546,6 @@ def test_chunk_cuts_change_nothing(case, cells):
     load, reference, text = case
     whole = _outcome(load, text.encode())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paths, "_BATCH_CELLS", cells)
+        mp.setattr(graph, "_BATCH_CELLS", cells)
         cut = _outcome(load, text.encode())
     assert cut == whole == _outcome(reference, text)

@@ -5,8 +5,9 @@ Hurwitz zeta and bounded Brent minimizer, components and biconnected
 blocks come from one depth-first search, and lambda1 from a numpy
 Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
 scipy, and no command calls it; a scan of the source keeps it the only
-one.  Corpus pool workers import nothing their parent did not.
-``import cgtopo`` loads numpy with one BLAS thread unless the caller
+one.  The package's modules import one another without a cycle, also
+inside functions.  Corpus pool workers import nothing their parent did
+not.  ``import cgtopo`` loads numpy with one BLAS thread unless the caller
 chose a count, and leaves the environment as it found it.
 """
 
@@ -94,6 +95,43 @@ def test_only_the_sparse_adjacency_imports_scipy():
     assert {name: imports for name, imports in found.items() if imports} == {
         "graph.py": [("CallGraph.adjacency", "scipy.sparse")]
     }
+
+
+def _relative_imports(tree) -> set[str]:
+    """The sibling modules a module imports relatively, anywhere in its
+    source, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_module_graph_is_acyclic():
+    package = Path(cgtopo.__file__).resolve().parent
+    imports = {
+        path.stem: _relative_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in package.glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert "graph" in imports["paths"] and "paths" in imports["topology"]
+    # depth-first: a module met again while still open closes a cycle
+    done, open_ = set(), []
+
+    def visit(module):
+        assert module not in open_, " -> ".join(open_ + [module])
+        if module not in done:
+            open_.append(module)
+            for dep in sorted(imports[module]):
+                visit(dep)
+            open_.pop()
+            done.add(module)
+
+    for module in sorted(imports):
+        visit(module)
 
 
 def test_cli_import_loads_every_module():

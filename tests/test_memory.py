@@ -1,7 +1,7 @@
 """Transient memory of the batched kernels and the loaders.
 
 Each kernel's traced peak (``tracemalloc``, pool forced serial) must
-stay within three batch budgets of ``paths._BATCH_CELLS`` 8-byte cells
+stay within three batch budgets of ``graph._BATCH_CELLS`` 8-byte cells
 plus 32 bytes per stored arc of the symmetrized graph, and each
 loader's within 10 bytes per input byte, whatever the graph size: so a
 process's peak is its graph plus a constant.
@@ -31,7 +31,7 @@ def _peak(fn, *args) -> int:
 
 
 def _bound(g) -> int:
-    return 3 * paths._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
+    return 3 * graph._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
 
 
 def _dot(edge_text: str) -> bytes:
@@ -67,7 +67,7 @@ def test_path_kernels_within_bound(serial, kernel_5000):
     g = kernel_5000
     h = g.undirected
     h.weak_search  # the analysis has cached it before the profile runs
-    block = next(paths._batches(np.full(g.n, max(g.n, g.indices.size))))
+    block = next(graph._batches(np.full(g.n, max(g.n, g.indices.size))))
     peaks = {
         "geodesic": _peak(paths.harmonic_geodesic_mean, g),
         "pair_classes": _peak(topology._pair_classes, h, 6),

@@ -21,7 +21,7 @@ from cgtopo import (
     symmetrize,
     weak_components,
 )
-from cgtopo import paths
+from cgtopo import graph, paths
 from cgtopo.fixtures import complete_graph, permutation_core_graph, star_graph
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph, _pmap, largest_wcc, load_graph
@@ -361,16 +361,26 @@ def test_bitset_bfs_rows_against_plain_bfs(rows):
     banned = (sources + 1 + rng.integers(0, g.n - 1, rows)) % g.n
     # pull-wise CSR: row v lists the predecessors of v
     csr = matrix(g).T.tocsr()
+    row = np.arange(rows)
+    bit = np.left_shift(np.uint64(1), (row & 63).astype(np.uint64))
     for ban, cap in ((None, None), (banned, None), (banned, 2), (None, 1)):
+        # the visited bits before the first level: sources and banned nodes
+        before = np.zeros(((rows + 63) >> 6, g.n), dtype=np.uint64)
+        for ends in (sources, ban):
+            if ends is not None:
+                np.bitwise_or.at(before, (row >> 6, ends), bit)
         got = [{} for _ in range(rows)]
-        for depth, nodes, bits in paths._bitset_bfs(
+        for depth, bits, visited in paths._bitset_bfs(
             csr.indptr, csr.indices, sources, ban, cap
         ):
-            for k, v in enumerate(nodes.tolist()):
-                for r in range(rows):
-                    if int(bits[r >> 6, k]) >> (r & 63) & 1:
-                        assert v not in got[r]
-                        got[r][v] = depth
+            assert not (before & ~visited).any()
+            new = visited & ~before
+            # the frontier holds exactly the bits this level set
+            assert np.bitwise_count(bits).sum() == np.bitwise_count(new).sum()
+            for r in range(rows):
+                reached = new[r >> 6] >> np.uint64(r & 63) & np.uint64(1)
+                got[r].update(dict.fromkeys(np.flatnonzero(reached).tolist(), depth))
+            before = visited.copy()
         assert got == _bfs_rows(g, sources.tolist(), ban, cap)
 
 
@@ -381,8 +391,8 @@ def test_bitset_bfs_rows_against_plain_bfs(rows):
 )
 def test_batches_tile_fit_and_are_maximal(cells, cost):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paths, "_BATCH_CELLS", cells)
-        spans = list(paths._batches(np.array(cost, dtype=np.int64)))
+        mp.setattr(graph, "_BATCH_CELLS", cells)
+        spans = list(graph._batches(np.array(cost, dtype=np.int64)))
     # consecutive, non-empty and covering [0, len)
     bounds = [0] + [stop for _, stop in spans]
     assert spans == list(zip(bounds, bounds[1:]))
@@ -397,13 +407,13 @@ def test_batches_tile_fit_and_are_maximal(cells, cost):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    cost=st.integers(paths._BATCH_CELLS // 400, 3 * paths._BATCH_CELLS),
+    cost=st.integers(graph._BATCH_CELLS // 400, 3 * graph._BATCH_CELLS),
     count=st.integers(1, 1000),
 )
 def test_batches_of_uniform_cost_have_one_width(cost, count):
     # the width rule that fixes the betweenness block partition
-    width = max(1, paths._BATCH_CELLS // cost)
-    spans = list(paths._batches(np.full(count, cost)))
+    width = max(1, graph._BATCH_CELLS // cost)
+    spans = list(graph._batches(np.full(count, cost)))
     assert spans == [(s, min(s + width, count)) for s in range(0, count, width)]
 
 
@@ -418,7 +428,7 @@ def test_batched_kernels_independent_of_batch_size(monkeypatch, n):
     # cells: four words per batch (each charged 4n), reduced one or two
     # words at a time; then blocks of exactly 64 sources
     for cells in (1, 16 * g.n, 64 * max(g.n, g.m)):
-        monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(graph, "_BATCH_CELLS", cells)
         assert harmonic_geodesic_mean(g) == geo
         assert harmonic_geodesic_mean(g, directed=True) == geo_dir
         for a, b in zip(betweenness(g).values, btw):
@@ -455,7 +465,7 @@ def test_betweenness_identities_on_demo_gnm_2000():
     # slots, counted here from the directed BFS distance histogram
     interior = sum(
         (depth - 1) * int(np.bitwise_count(bits).sum())
-        for depth, _, bits in paths._bitset_bfs(*g.in_csr, np.arange(g.n))
+        for depth, bits, _ in paths._bitset_bfs(*g.in_csr, np.arange(g.n))
     )
     assert interior == 17_629_283
     assert math.fsum(got) == interior
@@ -474,7 +484,7 @@ def test_betweenness_identities_on_linux_sim(corpus_dir):
     g = largest_wcc(load_graph(corpus_dir / "linux-2.6.12-rc2-sim.edges", "edgelist"))
     assert (g.n, g.m) == (20_165, 70_010)
     got = betweenness(g).values
-    words = paths._batches(np.full((g.n + 63) >> 6, g.n))
+    words = graph._batches(np.full((g.n + 63) >> 6, g.n))
     interior = sum(
         (depth - 1) * count
         for counts in _pmap(paths._depth_counts, g.in_csr, words)

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from cgtopo import graph, paths, report
+from cgtopo import graph, report
 from cgtopo.epidemic import SisParams, threshold_sweep
 from cgtopo.generators import GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import _pmap
@@ -71,7 +71,7 @@ def test_kernels_identical_at_any_worker_count(monkeypatch):
         got = [betweenness(g).values]
         with monkeypatch.context() as mp:
             # 32 geodesic batches and 316 profile batches
-            mp.setattr(paths, "_BATCH_CELLS", 1 << 13)
+            mp.setattr(graph, "_BATCH_CELLS", 1 << 13)
             got.append(harmonic_geodesic_mean(g))
             got.append(harmonic_geodesic_mean(g, directed=True))
             got.append(clustering_profile(g, 3))
@@ -84,7 +84,7 @@ def test_kernels_identical_at_any_worker_count(monkeypatch):
 def test_kernels_in_corpus_workers_run_serially(mixed_corpus, monkeypatch):
     # every kernel would fork here: several CPUs, many small batches
     _workers(monkeypatch, 3)
-    monkeypatch.setattr(paths, "_BATCH_CELLS", 1 << 12)
+    monkeypatch.setattr(graph, "_BATCH_CELLS", 1 << 12)
     cfg = AnalysisConfig(metrics=METRICS, seed=7)
     serial = to_json(analyze_corpus(mixed_corpus, cfg, jobs=1))
     parent = os.getpid()

@@ -10,6 +10,7 @@ from cgtopo import (
     AnalysisConfig,
     CallGraph,
     ConfigError,
+    InputError,
     ParseError,
     RandomGraphSpec,
     SpecError,
@@ -25,8 +26,13 @@ from cgtopo import (
 )
 from cgtopo.cli import main
 from cgtopo.corpus import load_entry
-from cgtopo import graph, report
-from cgtopo.fixtures import bridged_triangles, hierarchical_graph, to_edge_list
+from cgtopo import fixtures, graph, report
+from cgtopo.fixtures import (
+    bridged_triangles,
+    hierarchical_graph,
+    to_edge_list,
+    write_demo_corpus,
+)
 from cgtopo.generators import GNM, generate_random
 from cgtopo.report import (
     CORPUS_DEFAULT_METRICS,
@@ -202,6 +208,23 @@ def test_manifest_count_validation(tmp_path):
         load_entry(bad)
 
 
+def test_demo_manifest_counts_check_the_written_text(tmp_path, monkeypatch):
+    # the manifest counts come from the graph, not from a reload of the
+    # text, so a text that lost its last edge fails every entry
+    entries = read_manifest(write_demo_corpus(tmp_path))
+    assert len(entries) == 5
+    for entry in entries:
+        load_entry(entry)
+
+    def cut(g, **kwargs):
+        return "".join(to_edge_list(g, **kwargs).splitlines(True)[:-1])
+
+    monkeypatch.setattr(fixtures, "to_edge_list", cut)
+    for entry in read_manifest(write_demo_corpus(tmp_path / "cut")):
+        with pytest.raises(ValidationError):
+            load_entry(entry)
+
+
 def test_corpus_summary_has_fixed_columns(corpus_dir):
     cfg = AnalysisConfig(
         input_path=str(corpus_dir / "manifest.tsv"),
@@ -319,6 +342,12 @@ def test_cli_baseline_on_an_edgeless_graph_samples_nothing(tmp_path, capsys):
             "samples": 0,
             "ratio": None,
         }
+
+
+def test_config_errors_are_input_errors_no_graph_can_fix():
+    assert issubclass(ConfigError, InputError)
+    assert issubclass(SpecError, ConfigError)
+    assert report.ConfigError is graph.ConfigError
 
 
 def test_config_validation_errors(sample_path):

@@ -28,7 +28,7 @@ from cgtopo.fixtures import (
     path_graph,
     star_graph,
 )
-from cgtopo import paths, topology
+from cgtopo import graph, topology
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import CallGraph, largest_wcc, load_graph
 from cgtopo.topology import (
@@ -369,8 +369,8 @@ def test_profile_row_batches(monkeypatch, rows):
     for d_max in (1, 2):
         want = _reference_profile(g, d_max)
         assert want.beyond_fraction == (d_max == 1) * (rows - 3 * triangles) / rows
-        for cells in (1, 512, paths._BATCH_CELLS):
-            monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+        for cells in (1, 512, graph._BATCH_CELLS):
+            monkeypatch.setattr(graph, "_BATCH_CELLS", cells)
             assert clustering_profile(g, d_max) == want
 
 
@@ -392,7 +392,7 @@ def test_profile_spans_charge_only_arcs_that_lead_pairs(monkeypatch):
         return [fn(*shared, item) for item in items]
 
     monkeypatch.setattr(topology, "_pmap", recording)
-    monkeypatch.setattr(paths, "_BATCH_CELLS", 512)
+    monkeypatch.setattr(graph, "_BATCH_CELLS", 512)
     assert topology._pair_classes(h, 2).tolist() == want.tolist()
     assert len(spans) > 10
     assert [start for start, _ in spans[1:] if later[start] == 0] == []
@@ -427,7 +427,7 @@ def test_clustering_row_blocks(monkeypatch):
     g = _LARGE[1]
     want = clustering(g)
     for cells in (1, 700):
-        monkeypatch.setattr(paths, "_BATCH_CELLS", cells)
+        monkeypatch.setattr(graph, "_BATCH_CELLS", cells)
         assert clustering(g) == want
 
 
