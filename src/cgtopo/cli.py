@@ -13,16 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import ValidationError
-from .epidemic import (
-    SisParams,
-    sis_simulate,
-    sweep_betas,
-    threshold_sweep,
-    validate_params,
-)
+from .epidemic import SisParams, sis_simulate, sweep_betas, threshold_sweep
 from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, validate_model
-from .graph import CallGraphError, ConfigError, InputError, ParseError
+from .graph import CallGraphError, ConfigError, InputError
 from .report import (
     CORPUS_DEFAULT_METRICS,
     METRICS,
@@ -209,16 +202,14 @@ def _run_corpus(args) -> int:
 
 
 def _sis_params(args, beta: float) -> SisParams:
-    """The SIS parameters of simulate and sweep, checked before loading."""
-    params = SisParams(
+    """The SIS parameters of simulate and sweep; building them checks them."""
+    return SisParams(
         beta=beta,
         delta=args.delta,
         initial_infected=_initial(args),
         max_steps=args.steps,
         seed=args.seed,
     )
-    validate_params(params)
-    return params
 
 
 def _run_simulate(args) -> int:
@@ -279,7 +270,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InputError, ValidationError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CallGraphError as exc:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .graph import CallGraph, CallGraphError, ParseError, _decode, load_graph
+from .graph import CallGraph, InputError, ParseError, _decode, load_graph
 
 
-class ValidationError(CallGraphError):
+class ValidationError(InputError):
     """Loaded graph contradicts the manifest's expected counts."""
 
 

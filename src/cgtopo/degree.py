@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, InputError, _unique
+from .graph import CallGraph, CallGraphError, ConfigError, InputError, _unique
 
 _GAMMA_BOUNDS = (1.0 + 1e-9, 50.0)
 
@@ -78,7 +78,7 @@ def degree_sequence(g: CallGraph, mode: str) -> DegreeSequence:
     elif mode == "total":
         values = g.in_degrees + g.out_degrees if g.directed else g.out_degrees
     else:
-        raise InputError(f"unknown degree mode: {mode!r}")
+        raise ConfigError(f"unknown degree mode: {mode!r}")
     return DegreeSequence(mode=mode, values=tuple(values.tolist()))
 
 
@@ -276,7 +276,7 @@ def fit_power_law(seq: DegreeSequence, x_min: int | None = None) -> PowerLawFit:
             "need at least 2 distinct positive degrees to fit a power law"
         )
     if x_min is not None and x_min < 1:
-        raise InputError(f"x_min must be >= 1, got {x_min}")
+        raise ConfigError(f"x_min must be >= 1, got {x_min}")
     candidates = distinct_all.tolist() if x_min is None else [int(x_min)]
     logs = np.log(positives.astype(np.float64))
     suffix_log = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
@@ -309,7 +309,7 @@ def fit_power_law(seq: DegreeSequence, x_min: int | None = None) -> PowerLawFit:
 def fit_exponential(seq: DegreeSequence, x_min: int) -> ExponentialFit:
     """Geometric MLE on the tail >= x_min: q = 1 / (1 + mean(x - x_min))."""
     if x_min < 1:
-        raise InputError(f"x_min must be >= 1, got {x_min}")
+        raise ConfigError(f"x_min must be >= 1, got {x_min}")
     tail = [v for v in seq.values if v >= x_min]
     if not tail:
         raise InputError(f"empty tail at x_min={x_min}")

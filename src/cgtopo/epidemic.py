@@ -42,11 +42,34 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class SisParams:
+    """SIS run parameters, checked when built: a value no run can take
+    raises ConfigError.  The run checks that the initial infected fit."""
+
     beta: float
     delta: float
     initial_infected: tuple[int, ...] | int
     max_steps: int
     seed: int
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        if not 0.0 <= self.delta <= 1.0:
+            raise ConfigError(f"delta must be in [0, 1], got {self.delta}")
+        if self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        initial = self.initial_infected
+        if isinstance(initial, int):
+            if initial < 1:
+                raise ConfigError(f"initial infected count must be >= 1, got {initial}")
+        elif not initial:
+            raise ConfigError("initial infected set is empty")
+        else:
+            for node in initial:
+                if node < 0:
+                    raise ConfigError(f"initial infected id {node} out of range")
 
 
 @dataclass(frozen=True)
@@ -73,23 +96,21 @@ class SizeSpectralTrend:
 # Lanczos vectors per restart cycle: ARPACK's ncv for one eigenpair
 _CYCLE = 20
 _EPS = float(np.finfo(np.float64).eps)
+# restart cycles allowed before ConvergenceError
+_RESTARTS = 100_000
 
 
-def spectral_radius(
-    g: CallGraph, tolerance: float = 1e-10, max_iterations: int = 100_000
-) -> SpectralResult:
+def spectral_radius(g: CallGraph, tolerance: float = 1e-10) -> SpectralResult:
     """Largest adjacency eigenvalue of the symmetrized largest WCC.
 
     Lanczos (1950) from the all-ones start vector, allowed
-    ``max_iterations`` restart cycles.  The returned pair must have
+    ``_RESTARTS`` restart cycles.  The returned pair must have
     residual ||Ax - lambda x|| <= tolerance and lambda within the
     [sqrt(d_max), d_max] bounds, else ConvergenceError.  ``iterations``
     in the result counts the solver's applications of A.
     """
     if not tolerance > 0:  # also rejects NaN
-        raise InputError("tolerance must be positive")
-    if max_iterations < 1:
-        raise InputError(f"max_iterations must be >= 1, got {max_iterations}")
+        raise ConfigError("tolerance must be positive")
     h = largest_wcc(g.undirected)
     if h.m == 0:
         raise InputError("spectral radius undefined on an edgeless graph")
@@ -100,10 +121,10 @@ def spectral_radius(
         # same bits on every run
         return np.bincount(tails, weights=x[heads], minlength=h.n)
 
-    pair = _lanczos(matvec, h.n, max_iterations)
+    pair = _lanczos(matvec, h.n, _RESTARTS)
     if pair is None:
         raise ConvergenceError(
-            f"Lanczos did not converge in {max_iterations} restarts", None, None
+            f"Lanczos did not converge in {_RESTARTS} restarts", None, None
         )
     lam, vec, applications = pair
     residual = float(np.linalg.norm(matvec(vec) - lam * vec))
@@ -169,34 +190,15 @@ def _lanczos(matvec, n: int, cycles: int):
     return None
 
 
-def validate_params(p: SisParams, n: int | None = None) -> None:
-    """Raise ConfigError on SIS parameters no run can take, and
-    InputError on those that do not fit the node count ``n``, checked
-    only when it is given."""
-    if not 0.0 <= p.beta <= 1.0:
-        raise ConfigError(f"beta must be in [0, 1], got {p.beta}")
-    if not 0.0 <= p.delta <= 1.0:
-        raise ConfigError(f"delta must be in [0, 1], got {p.delta}")
-    if p.max_steps < 1:
-        raise ConfigError(f"max_steps must be >= 1, got {p.max_steps}")
-    if p.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {p.seed}")
-    if isinstance(p.initial_infected, int):
-        if p.initial_infected < 1:
-            raise ConfigError(
-                f"initial infected count must be >= 1, got {p.initial_infected}"
-            )
-        if n is not None and p.initial_infected > n:
-            raise InputError(
-                f"initial infected count {p.initial_infected} outside [1, {n}]"
-            )
+def _check_fits(p: SisParams, n: int) -> None:
+    """InputError unless the initial infected of ``p`` fit ``n`` nodes."""
+    initial = p.initial_infected
+    if isinstance(initial, int):
+        if initial > n:
+            raise InputError(f"initial infected count {initial} outside [1, {n}]")
     else:
-        if not p.initial_infected:
-            raise ConfigError("initial infected set is empty")
-        for node in p.initial_infected:
-            if node < 0:
-                raise ConfigError(f"initial infected id {node} out of range")
-            if n is not None and node >= n:
+        for node in initial:
+            if node >= n:
                 raise InputError(f"initial infected id {node} out of range")
 
 
@@ -228,7 +230,7 @@ def sis_simulate(g: CallGraph, params: SisParams) -> SisTrace:
     """
     h = g.undirected
     n = h.n
-    validate_params(params, n)
+    _check_fits(params, n)
     indptr, indices = h.csr
     rng = np.random.Generator(np.random.PCG64(params.seed))
     infected = np.zeros(n, dtype=bool)
@@ -296,7 +298,7 @@ def threshold_sweep(
     Per-run seeds derive from (base seed, ratio index, run index), so
     the sweep is reproducible and runs may execute in any order.
     """
-    validate_params(base_params, g.n)
+    _check_fits(base_params, g.n)
     ratios = tuple(float(r) for r in ratios)
     betas = sweep_betas(ratios, runs_per_ratio, base_params.delta)
     g.undirected  # built once, before the runs fork

@@ -21,7 +21,7 @@ from .generators import (
     generate_random,
     top_up_codes,
 )
-from .graph import CallGraph, InputError, to_edge_list
+from .graph import CallGraph, ConfigError, to_edge_list
 
 
 def path_graph(n: int) -> CallGraph:
@@ -50,7 +50,7 @@ def bridged_triangles(count: int = 10) -> CallGraph:
     most nodes keep the full triangle around them.
     """
     if count < 1:
-        raise InputError("count must be >= 1")
+        raise ConfigError("count must be >= 1")
     pairs = []
     for i in range(count):
         a = 3 * i
@@ -66,7 +66,7 @@ def hierarchical_graph(levels: int = 3) -> CallGraph:
     Low-degree nodes sit in cliques while hubs bridge sparse regions,
     so mean clustering falls as degree grows."""
     if levels < 1:
-        raise InputError("levels must be >= 1")
+        raise ConfigError("levels must be >= 1")
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     outer = [1, 2, 3, 4]
     size = 5
@@ -89,9 +89,9 @@ def permutation_core_graph(n: int, m: int, seed: int) -> CallGraph:
     random permutation cycle covers every node, then distinct random
     edges top the count up to m."""
     if m < n:
-        raise InputError(f"need m >= n to cover all nodes, got m={m} n={n}")
+        raise ConfigError(f"need m >= n to cover all nodes, got m={m} n={n}")
     if m > n * (n - 1):
-        raise InputError(f"m={m} exceeds n(n-1)")
+        raise ConfigError(f"m={m} exceeds n(n-1)")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n).astype(np.int64)
     cycle = perm * n + np.roll(perm, -1)

@@ -21,7 +21,11 @@ class CallGraphError(Exception):
     """Base class for all cgtopo errors."""
 
 
-class ParseError(CallGraphError):
+class InputError(CallGraphError):
+    """Invalid input (malformed text, empty graph, ...); the CLI exits 2 on it."""
+
+
+class ParseError(InputError):
     """Malformed input text; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -29,10 +33,6 @@ class ParseError(CallGraphError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class InputError(CallGraphError):
-    """Structurally invalid input (empty graph, bad node reference, ...)."""
 
 
 class ConfigError(InputError):
@@ -158,14 +158,14 @@ class CallGraph:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_name_pairs(cls, pairs, extra_nodes=()) -> "CallGraph":
+    def from_name_pairs(cls, pairs) -> "CallGraph":
         """Build from (caller, callee) name pairs, canonicalizing.
 
-        Ids follow first appearance scanning each pair caller-first,
-        then ``extra_nodes``.  Self-loops are dropped and duplicate
-        edges collapsed; the drop counts are recorded on the result.
+        Ids follow first appearance scanning each pair caller-first.
+        Self-loops are dropped and duplicate edges collapsed; the drop
+        counts are recorded on the result.
         """
-        return _from_tokens([[name for a, b in pairs for name in (a, b)]], extra_nodes)
+        return _from_tokens([[name for a, b in pairs for name in (a, b)]])
 
     @classmethod
     def from_id_pairs(cls, n: int, pairs, names=None) -> "CallGraph":
@@ -312,14 +312,13 @@ def _canonical(n: int, names: tuple[str, ...], ends: np.ndarray) -> CallGraph:
     return CallGraph(names, *_csr(n, unique), True, loops, dups)
 
 
-def _from_tokens(runs, extra_nodes=()) -> CallGraph:
+def _from_tokens(runs) -> CallGraph:
     """CallGraph from the flat name list caller, callee, caller, ...,
-    given as consecutive runs of names; ids follow first appearance,
-    then ``extra_nodes``.  Each run's names become ids before the next
-    run is read, so a loader holds one run's strings at a time."""
+    given as consecutive runs of names; ids follow first appearance.
+    Each run's names become ids before the next run is read, so a
+    loader holds one run's strings at a time."""
     index: dict[str, int] = {}
     ends = [np.zeros(0, dtype=np.int32), *(_intern(index, names) for names in runs)]
-    _intern(index, list(extra_nodes))
     return _canonical(len(index), tuple(index), np.concatenate(ends))
 
 
@@ -345,11 +344,14 @@ def _line_of(text: str, pos: int) -> int:
 
 
 def _decode(source: bytes | str) -> str:
+    """``source`` as text less a leading byte-order mark, no part of a
+    name; ParseError at the line of the first invalid UTF-8 byte."""
     try:
-        return source if isinstance(source, str) else source.decode("utf-8")
+        text = source if isinstance(source, str) else source.decode("utf-8")
     except UnicodeDecodeError as exc:
         valid = source[: exc.start].decode("utf-8")
         raise ParseError("input is not valid UTF-8", _line_of(valid, len(valid))) from None
+    return text.removeprefix("\ufeff")
 
 
 def _line_runs(text: str, start: int = 0, stop: int | None = None):

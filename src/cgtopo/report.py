@@ -26,7 +26,9 @@ from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, _validate, generate_random
-from .graph import CallGraph, CallGraphError, ConfigError, _pmap, largest_wcc, load_graph
+from .graph import (
+    CallGraph, CallGraphError, ConfigError, InputError, _pmap, largest_wcc, load_graph
+)
 
 VERSION = "0.1.0"
 
@@ -360,7 +362,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
     _validate(spec)
     n, m = report["graph"]["n"], report["graph"]["m"]
     if spec.n != n or (spec.model == GNM and spec.m != m):
-        raise ConfigError(
+        raise InputError(
             f"baseline spec (n={spec.n}, m={spec.m}) does not match graph "
             f"(n={n}, m={m})"
         )

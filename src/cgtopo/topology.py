@@ -19,6 +19,7 @@ from . import paths
 from .graph import (
     CallGraph,
     CallGraphError,
+    ConfigError,
     InputError,
     _batches,
     _csr,
@@ -93,7 +94,7 @@ def assortativity(g: CallGraph, mode: str) -> AssortativityResult:
     the coefficient undefined.
     """
     if mode not in ASSORTATIVITY_MODES:
-        raise InputError(f"unknown assortativity mode: {mode!r}")
+        raise ConfigError(f"unknown assortativity mode: {mode!r}")
     if g.m < 1:
         raise InputError("assortativity needs at least one edge")
     if mode == "in_in":
@@ -250,7 +251,7 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     always account for every pair.
     """
     if d_max < 1:
-        raise InputError(f"d_max must be >= 1, got {d_max}")
+        raise ConfigError(f"d_max must be >= 1, got {d_max}")
     h = g.undirected
     degree = h.out_degrees
     eligible = np.flatnonzero(degree >= 2)

@@ -19,7 +19,8 @@ from cgtopo import (
     spectral_radius,
     threshold_sweep,
 )
-from cgtopo.epidemic import sweep_betas, validate_params
+from cgtopo import epidemic
+from cgtopo.epidemic import sweep_betas
 from cgtopo.fixtures import (
     complete_graph,
     cycle_graph,
@@ -99,13 +100,13 @@ def test_spectral_convergence_error_carries_state():
     assert 0 < resid <= 1e-9
 
 
-def test_spectral_convergence_error_on_restart_budget():
+def test_spectral_convergence_error_on_restart_budget(monkeypatch):
     g = generate_random(RandomGraphSpec(model=GNM, n=300, m=900, seed=0))
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        spectral_radius(g, max_iterations=1)
-    assert spectral_radius(g, max_iterations=2).residual <= 1e-10
-    with pytest.raises(InputError):
-        spectral_radius(g, max_iterations=0)
+    monkeypatch.setattr(epidemic, "_RESTARTS", 1)
+    with pytest.raises(ConvergenceError, match="did not converge in 1 restarts"):
+        spectral_radius(g)
+    monkeypatch.setattr(epidemic, "_RESTARTS", 2)
+    assert spectral_radius(g).residual <= 1e-10
 
 
 def test_spectral_matches_dense_oracle_heavy_tailed():
@@ -196,22 +197,29 @@ def test_sis_parameter_validation():
 def test_param_errors_no_graph_can_fix_are_config_errors():
     good = SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=1)
     for bad in (
-        replace(good, beta=2),
-        replace(good, delta=-0.1),
-        replace(good, max_steps=0),
-        replace(good, seed=-1),
-        replace(good, initial_infected=0),
-        replace(good, initial_infected=()),
-        replace(good, initial_infected=(0, -1)),
+        dict(beta=2),
+        dict(delta=-0.1),
+        dict(max_steps=0),
+        dict(seed=-1),
+        dict(initial_infected=0),
+        dict(initial_infected=()),
+        dict(initial_infected=(0, -1)),
     ):
         with pytest.raises(ConfigError):
-            validate_params(bad, 4)
-    # the checks against the node count are input errors only
-    for bad in (replace(good, initial_infected=(4,)), replace(good, initial_infected=5)):
-        validate_params(bad)
-        with pytest.raises(InputError) as info:
-            validate_params(bad, 4)
-        assert not isinstance(info.value, ConfigError)
+            replace(good, **bad)  # building the params checks them
+    # a negative id is caught when built, before any id is held against n
+    with pytest.raises(ConfigError, match="id -1"):
+        replace(good, initial_infected=(9, -1))
+    # the checks against the node count are input errors only, made by a run
+    for initial in ((4,), 5):
+        bad = replace(good, initial_infected=initial)
+        for run in (
+            lambda: sis_simulate(path_graph(4), bad),
+            lambda: threshold_sweep(path_graph(4), [0.5], 2, bad),
+        ):
+            with pytest.raises(InputError) as info:
+                run()
+            assert not isinstance(info.value, ConfigError)
     for args in (([], 5, 0.5), ([1.0, 0.5], 5, 0.5), ([0.5], 0, 0.5), ([3.0], 5, 0.5)):
         with pytest.raises(ConfigError):
             sweep_betas(*args)
@@ -391,10 +399,10 @@ def test_sweep_rejects_beta_above_one():
 
 
 def test_sweep_rejects_negative_base_seed():
-    # no run takes the base seed itself: it only seeds the per-run seeds
-    base = SisParams(beta=0.0, delta=0.5, initial_infected=(0,), max_steps=10, seed=-1)
+    # no run takes the base seed itself: it only seeds the per-run seeds,
+    # and building the base params already rejects it
     with pytest.raises(InputError, match="seed"):
-        threshold_sweep(star_graph(5), [0.5, 1.0], 5, base)
+        SisParams(beta=0.0, delta=0.5, initial_infected=(0,), max_steps=10, seed=-1)
 
 
 def test_sweep_deep_subthreshold_dies_out():

@@ -15,6 +15,7 @@ from cgtopo import (
     largest_wcc,
     load_dot_subset,
     load_edge_list,
+    parse_manifest,
     symmetrize,
     threshold_sweep,
     to_edge_list,
@@ -84,6 +85,27 @@ def test_empty_input_rejected():
 def test_malformed_line_reports_line_number():
     with pytest.raises(ParseError) as exc:
         load_edge_list("a b\na b c\n")
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+def test_a_byte_order_mark_is_no_part_of_a_name(as_bytes):
+    def with_bom(text):
+        text = "\ufeff" + text
+        return text.encode("utf-8") if as_bytes else text
+
+    edges, dot = "a b\nb a\n", "digraph g {\n  a -> b;\n  b -> a;\n}\n"
+    for load, text in ((load_edge_list, edges), (load_dot_subset, dot)):
+        g, twin = load(with_bom(text)), load(text)
+        assert g.names == twin.names == ("a", "b")
+        assert rows(*g.csr) == rows(*twin.csr)
+    manifest = "lab\tC\tkernel\ta.edges\n"
+    assert parse_manifest(with_bom(manifest)) == parse_manifest(manifest)
+
+
+def test_a_byte_order_mark_keeps_the_line_of_an_invalid_byte():
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(b"\xef\xbb\xbfa b\nc \xff\n")
     assert exc.value.line == 2
 
 
@@ -168,7 +190,7 @@ def test_round_trip_arbitrary_graph():
 
 
 def test_serializer_rejects_isolated_nodes_unless_dropped():
-    g = CallGraph.from_name_pairs([("a", "b")], extra_nodes=["lonely"])
+    g = CallGraph.from_id_pairs(3, [(0, 1)], names=("a", "b", "lonely"))
     with pytest.raises(InputError):
         to_edge_list(g)
     text = to_edge_list(g, drop_isolated=True)
@@ -237,13 +259,10 @@ def test_edges_iterates_every_arc_once():
     assert g.m == 3
 
 
-def test_ids_follow_first_appearance_then_extra_nodes():
-    g = CallGraph.from_name_pairs(
-        [("b", "a"), ("c", "b"), ("a", "d")], extra_nodes=["z", "a", "y", "z"]
-    )
-    assert g.names == ("b", "a", "c", "d", "z", "y")
+def test_name_pair_ids_follow_first_appearance():
+    g = CallGraph.from_name_pairs([("b", "a"), ("c", "b"), ("a", "d")])
+    assert g.names == ("b", "a", "c", "d")
     assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 0)]
-    assert not rows(*g.csr)[4] and not rows(*g.in_csr)[5]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -18,10 +18,16 @@ from cgtopo import (
     analyze,
     analyze_corpus,
     analyze_graph,
+    assortativity,
+    clustering_profile,
     compare_baseline,
+    degree_sequence,
+    fit_exponential,
+    fit_power_law,
     load_edge_list,
     parse_manifest,
     read_manifest,
+    spectral_radius,
     to_json,
 )
 from cgtopo.cli import main
@@ -30,10 +36,11 @@ from cgtopo import fixtures, graph, report
 from cgtopo.fixtures import (
     bridged_triangles,
     hierarchical_graph,
+    permutation_core_graph,
     to_edge_list,
     write_demo_corpus,
 )
-from cgtopo.generators import GNM, generate_random
+from cgtopo.generators import ERASED_CONFIG, GNM, generate_random
 from cgtopo.report import (
     CORPUS_DEFAULT_METRICS,
     METRICS,
@@ -344,10 +351,61 @@ def test_cli_baseline_on_an_edgeless_graph_samples_nothing(tmp_path, capsys):
         }
 
 
+@pytest.mark.parametrize(
+    "model", [["--model", GNM], ["--model", ERASED_CONFIG, "--gamma", "2.5"]]
+)
+def test_cli_baseline_on_a_one_node_graph_samples_nothing(tmp_path, capsys, model):
+    # the size comes from the graph, not from a flag, so n = 1 is no
+    # config error: each replicate has one node too and samples nothing
+    p = tmp_path / "loop.edges"
+    p.write_text("a a\n", encoding="utf-8")
+    assert main(["baseline", str(p), "--replicates", "3", *model]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["graph"]["n"] == 1
+    for key in ("global_c", "ell", "varrho"):
+        assert report["baseline"]["metrics"][key]["samples"] == 0
+
+
 def test_config_errors_are_input_errors_no_graph_can_fix():
     assert issubclass(ConfigError, InputError)
     assert issubclass(SpecError, ConfigError)
     assert report.ConfigError is graph.ConfigError
+
+
+_G = hierarchical_graph(2)
+_SEQ = degree_sequence(_G, "total")
+
+
+@pytest.mark.parametrize(
+    "call, no_graph_can_fix",
+    [
+        pytest.param(lambda: assortativity(_G, "sideways"), True, id="assortativity-mode"),
+        pytest.param(lambda: degree_sequence(_G, "sideways"), True, id="degree-mode"),
+        pytest.param(lambda: clustering_profile(_G, 0), True, id="profile-d_max"),
+        pytest.param(lambda: fit_power_law(_SEQ, 0), True, id="power-law-x_min"),
+        pytest.param(lambda: fit_exponential(_SEQ, 0), True, id="exponential-x_min"),
+        pytest.param(lambda: spectral_radius(_G, 0.0), True, id="spectral-tolerance"),
+        pytest.param(lambda: bridged_triangles(0), True, id="bridged-triangles-count"),
+        pytest.param(lambda: hierarchical_graph(0), True, id="hierarchical-levels"),
+        pytest.param(lambda: permutation_core_graph(5, 4, 1), True, id="core-m-below-n"),
+        pytest.param(lambda: permutation_core_graph(3, 7, 1), True, id="core-m-above-max"),
+        pytest.param(
+            lambda: compare_baseline(
+                analyze_graph(_G, AnalysisConfig(metrics=("degree",)), "g")[0],
+                RandomGraphSpec(model=GNM, n=_G.n + 1, m=_G.m),
+                2,
+            ),
+            False,
+            id="baseline-spec-mismatch",
+        ),
+    ],
+)
+def test_library_bad_values_raise_config_error_only_when_no_graph_can_fix(
+    call, no_graph_can_fix
+):
+    with pytest.raises(InputError) as info:
+        call()
+    assert isinstance(info.value, ConfigError) == no_graph_can_fix
 
 
 def test_config_validation_errors(sample_path):
