@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -43,7 +44,11 @@ class SpectralResult:
 @dataclass(frozen=True)
 class SisParams:
     """SIS run parameters, checked when built: a value no run can take
-    raises ConfigError.  The run checks that the initial infected fit."""
+    raises ConfigError.  The run checks that the initial infected fit.
+
+    ``initial_infected`` is a count of nodes to draw or a tuple of node
+    ids, integers either way (numpy integers too), kept as Python ints.
+    """
 
     beta: float
     delta: float
@@ -61,15 +66,26 @@ class SisParams:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         initial = self.initial_infected
-        if isinstance(initial, int):
+        if isinstance(initial, Integral):
             if initial < 1:
                 raise ConfigError(f"initial infected count must be >= 1, got {initial}")
-        elif not initial:
-            raise ConfigError("initial infected set is empty")
+            initial = int(initial)
         else:
+            try:
+                initial = tuple(initial)
+            except TypeError:
+                raise ConfigError(
+                    f"initial infected must be a count or a tuple of ids, got {initial!r}"
+                ) from None
+            if not initial:
+                raise ConfigError("initial infected set is empty")
             for node in initial:
+                if not isinstance(node, Integral):
+                    raise ConfigError(f"initial infected id {node!r} is not an integer")
                 if node < 0:
                     raise ConfigError(f"initial infected id {node} out of range")
+            initial = tuple(map(int, initial))
+        object.__setattr__(self, "initial_infected", initial)  # the class is frozen
 
 
 @dataclass(frozen=True)

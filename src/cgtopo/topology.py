@@ -22,6 +22,7 @@ from .graph import (
     ConfigError,
     InputError,
     _batches,
+    _codes,
     _csr,
     _pmap,
     _ranges,
@@ -172,7 +173,8 @@ def _triangles(h: CallGraph) -> np.ndarray:
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(h.out_degrees, kind="stable")] = np.arange(n)
     up = rank[tails] < rank[heads]
-    tails, codes = tails[up], tails[up] * n + heads[up]  # still ascending
+    tails = tails[up]
+    codes = _codes(n, tails, heads[up])  # still ascending
     indptr, indices = _csr(n, codes)
     # the wedges through an arc are the out-arcs of its head
     width = np.diff(indptr)[indices]
@@ -182,7 +184,7 @@ def _triangles(h: CallGraph) -> np.ndarray:
         mid = np.repeat(indices[start:stop], count)
         first = np.repeat(tails[start:stop], count)
         last = indices[_ranges(indptr[indices[start:stop]], count)]
-        wedge = first * n + last
+        wedge = _codes(n, first, last)
         at = np.minimum(np.searchsorted(codes, wedge), codes.size - 1)
         closed = codes[at] == wedge
         ends = np.concatenate((first[closed], mid[closed], last[closed]))
@@ -379,9 +381,9 @@ def reciprocity(g: CallGraph) -> ReciprocityResult:
     if g.m < 1 or g.n < 2:
         raise InputError("reciprocity needs n >= 2 and m >= 1")
     tails, heads = g.arcs()
-    arcs = tails * g.n + heads
+    arcs = _codes(g.n, tails, heads)
     # both code arrays are distinct, which spares isin a bare np.unique
-    reciprocal = int(np.isin(heads * g.n + tails, arcs, assume_unique=True).sum())
+    reciprocal = int(np.isin(_codes(g.n, heads, tails), arcs, assume_unique=True).sum())
     varrho = reciprocal / g.m
     a_bar = g.m / (g.n * (g.n - 1))
     defined = a_bar != 1.0

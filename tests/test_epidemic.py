@@ -225,6 +225,36 @@ def test_param_errors_no_graph_can_fix_are_config_errors():
             sweep_betas(*args)
 
 
+_GOOD = SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=1)
+
+
+def test_a_float_initial_id_is_a_config_error():
+    # it used to be truncated: (1.7,) infected node 1
+    with pytest.raises(ConfigError, match="1.7 is not an integer"):
+        replace(_GOOD, initial_infected=(0, 1.7))
+
+
+def test_a_float_initial_id_below_n_is_a_config_error():
+    # it used to pass the id < n check and infect node 3 of four
+    with pytest.raises(ConfigError, match="3.99 is not an integer"):
+        replace(_GOOD, initial_infected=(3.99,))
+
+
+def test_a_float_initial_count_is_a_config_error():
+    # it used to raise a bare TypeError
+    with pytest.raises(ConfigError, match="count or a tuple of ids, got 2.5"):
+        replace(_GOOD, initial_infected=2.5)
+
+
+def test_numpy_integer_initial_ids_and_counts_are_accepted():
+    for numpy_value, value in (((np.int64(3), np.int32(1)), (3, 1)), (np.int64(2), 2)):
+        params = replace(_GOOD, initial_infected=numpy_value)
+        assert params.initial_infected == value
+        assert type(params.initial_infected) is type(value)
+        plain = sis_simulate(path_graph(4), replace(_GOOD, initial_infected=value))
+        assert sis_simulate(path_graph(4), params) == plain
+
+
 def _oracle_sis(g, params, flips=None):
     """Transcript of the documented SIS process, recounting c every step
     by a scipy mat-vec on a freshly built symmetrized 0/1 matrix: 2n

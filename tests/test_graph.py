@@ -21,7 +21,7 @@ from cgtopo import (
     to_edge_list,
     weak_components,
 )
-from cgtopo import graph
+from cgtopo import graph, topology
 from cgtopo.fixtures import permutation_core_graph
 from cgtopo.graph import _ranges
 from cgtopo.report import METRICS, AnalysisConfig, analyze_graph
@@ -285,6 +285,51 @@ def test_drop_counts_match_a_set_based_reference(seed):
         g.dropped_self_loops,
         g.dropped_duplicates,
     )
+
+
+def _oracle_csr(n, tails, heads):
+    """CSR of the distinct arcs, from int64 ``np.unique`` codes."""
+    codes = np.unique(tails.astype(np.int64) * n + heads)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(codes // n, minlength=n))))
+    return indptr.tolist(), (codes % n).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, width", [(46_340, np.int32), (46_341, np.int64), (51_000, np.int64)]
+)
+def test_csr_builds_match_int64_codes_on_both_code_widths(n, width):
+    # arc codes are int32 while n * n - 1 fits, int64 from n = 46,341:
+    # arcs at node n - 1 carry the largest codes, which a product taken
+    # before widening would wrap
+    assert graph._code_type(n) is width
+    rng = np.random.default_rng(n)
+    nodes = np.concatenate(([0, 1, n - 3, n - 2, n - 1], rng.choice(n - 3, 35)))
+    pairs = np.concatenate(
+        (rng.choice(nodes, size=(700, 2)), [(n - 1, n - 2), (n - 1, 0), (n - 1, n - 1)])
+    )
+    g = CallGraph.from_id_pairs(n, pairs)
+    u, v = pairs[pairs[:, 0] != pairs[:, 1]].T
+    both = np.concatenate((u, v)), np.concatenate((v, u))
+    for (indptr, indices), (tails, heads) in (
+        (g.csr, (u, v)),
+        (g.in_csr, (v, u)),
+        (symmetrize(g).csr, both),
+    ):
+        assert (indptr.dtype, indices.dtype) == (np.int32, np.int32)
+        assert (indptr.tolist(), indices.tolist()) == _oracle_csr(n, tails, heads)
+    loops = len(pairs) - u.size
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, u.size - g.m)
+    # triangles through each node, from the oracle's edge set
+    indptr, indices = _oracle_csr(n, *both)
+    nbrs = [set(indices[a:b]) for a, b in zip(indptr, indptr[1:])]
+    tri = np.zeros(n, dtype=np.int64)
+    for a in np.unique(nodes).tolist():
+        for b in nbrs[a]:
+            for c in nbrs[a] & nbrs[b]:
+                if a < b < c:
+                    tri[[a, b, c]] += 1
+    assert tri.sum() > 0 and tri[n - 1] > 0
+    assert topology._triangles(symmetrize(g)).tolist() == tri.tolist()
 
 
 @pytest.mark.parametrize("bad", ["e", "e f g"])

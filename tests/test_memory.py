@@ -1,13 +1,17 @@
-"""Transient memory of the batched kernels and the loaders.
+"""Transient memory of the batched kernels, the loaders and the graph
+builds.
 
 Each kernel's traced peak (``tracemalloc``, pool forced serial) must
 stay within three batch budgets of ``graph._BATCH_CELLS`` 8-byte cells
-plus 32 bytes per stored arc of the symmetrized graph, and each
-loader's within 10 bytes per input byte, whatever the graph size: so a
-process's peak is its graph plus a constant.
+plus 32 bytes per stored arc of the symmetrized graph, each loader's
+within 10 bytes per input byte, and each derived CSR build's
+(``symmetrize``, ``in_csr``) within 32 bytes per stored directed arc,
+whatever the graph size: so a process's peak is its graph plus a
+constant.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from cgtopo.generators import ERASED_CONFIG, RandomGraphSpec, generate_random
 from cgtopo.graph import load_dot_subset, load_edge_list
 
 LOADER_BYTES_PER_INPUT_BYTE = 10
+BUILD_BYTES_PER_ARC = 32
 
 
 def _peak(fn, *args) -> int:
@@ -47,6 +52,18 @@ def _loader_overruns(text: bytes) -> dict[str, float]:
         ratio = _peak(load, data) / len(data)
         if ratio > LOADER_BYTES_PER_INPUT_BYTE:
             over[load.__name__] = ratio
+    return over
+
+
+def _build_overruns(g) -> dict[str, float]:
+    """Bytes of traced peak per stored arc of the directed graph ``g`` of
+    each derived CSR build over its bound, each on a copy of ``g`` that
+    has built nothing yet."""
+    over = {}
+    for name, build in (("symmetrize", graph.symmetrize), ("in_csr", lambda h: h.in_csr)):
+        ratio = _peak(build, replace(g)) / g.indices.size
+        if ratio > BUILD_BYTES_PER_ARC:
+            over[name] = ratio
     return over
 
 
@@ -88,6 +105,10 @@ def test_loaders_within_bound(kernel_5000):
     assert _loader_overruns(to_edge_list(kernel_5000).encode()) == {}
 
 
+def test_graph_builds_within_bound(kernel_5000):
+    assert _build_overruns(kernel_5000) == {}
+
+
 @pytest.mark.kernel_scale
 def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
     # the same bounds on the kernel-scale demo graph (n 20,165, 140,012
@@ -96,6 +117,7 @@ def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
     loaders = _loader_overruns(text)
     g = load_edge_list(text)
     assert (g.n, g.m) == (20_165, 70_010)
+    builds = _build_overruns(g)
     h = g.undirected
     h.weak_search
 
@@ -108,4 +130,4 @@ def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
     monkeypatch.setattr(topology, "_pmap", first_span)
     peaks["pair_classes"] = _peak(topology._pair_classes, h, 6)
     kernels = {name: peak for name, peak in peaks.items() if peak > _bound(g)}
-    assert (loaders, kernels) == ({}, {})
+    assert (loaders, builds, kernels) == ({}, {}, {})
