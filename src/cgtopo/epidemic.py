@@ -17,7 +17,8 @@ from numbers import Integral
 import numpy as np
 
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _ranges, largest_wcc
+    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _ranges, _sub_seed,
+    largest_wcc,
 )
 
 
@@ -47,7 +48,7 @@ class SisParams:
     raises ConfigError.  The run checks that the initial infected fit.
 
     ``initial_infected`` is a count of nodes to draw or a tuple of node
-    ids, integers either way (numpy integers too), kept as Python ints.
+    ids, integers either way (numpy's too, bools not), kept as Python ints.
     """
 
     beta: float
@@ -66,7 +67,7 @@ class SisParams:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         initial = self.initial_infected
-        if isinstance(initial, Integral):
+        if isinstance(initial, Integral) and not isinstance(initial, bool):
             if initial < 1:
                 raise ConfigError(f"initial infected count must be >= 1, got {initial}")
             initial = int(initial)
@@ -80,7 +81,7 @@ class SisParams:
             if not initial:
                 raise ConfigError("initial infected set is empty")
             for node in initial:
-                if not isinstance(node, Integral):
+                if not isinstance(node, Integral) or isinstance(node, bool):
                     raise ConfigError(f"initial infected id {node!r} is not an integer")
                 if node < 0:
                     raise ConfigError(f"initial infected id {node} out of range")
@@ -221,7 +222,7 @@ def _check_fits(p: SisParams, n: int) -> None:
 def _neighbours(indptr, indices, nodes: np.ndarray) -> np.ndarray:
     """The CSR rows of ``nodes``, concatenated."""
     start = indptr[nodes]
-    return indices[_ranges(start, indptr[nodes + 1] - start)]
+    return indices[_ranges(start, indptr[nodes + 1] - start)[1]]
 
 
 def sis_simulate(g: CallGraph, params: SisParams) -> SisTrace:
@@ -332,9 +333,7 @@ def threshold_sweep(
 def _sweep_run(g: CallGraph, base_params: SisParams, betas, run) -> bool:
     """Whether run ``run = (i, j)`` of the sweep, run j at ratio i, dies out."""
     i, j = run
-    seed = int(
-        np.random.SeedSequence([base_params.seed, i, j]).generate_state(1, np.uint64)[0]
-    )
+    seed = _sub_seed(base_params.seed, i, j)
     trace = sis_simulate(g, replace(base_params, beta=betas[i], seed=seed))
     return trace.outcome == "extinct"
 

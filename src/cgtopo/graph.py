@@ -233,17 +233,18 @@ def _csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _ranges(starts, counts) -> np.ndarray:
-    """The positions ``starts[i] .. starts[i] + counts[i] - 1``,
-    concatenated in order: the CSR entries of a set of rows."""
-    first = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return first + np.arange(first.size)
+def _ranges(starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``(which, positions)``: the CSR entries ``starts[i] .. starts[i] +
+    counts[i] - 1`` of a set of rows, concatenated in order, and each one's i."""
+    which = np.repeat(np.arange(len(counts)), counts)
+    first = (starts - np.cumsum(counts) + counts)[which]
+    return which, first + np.arange(which.size)
 
 
 # The batch budget, in 8-byte array cells (4 MiB).  Each batched kernel
 # charges an item for the cells its batch keeps alive: a bitset word
-# four per node (see paths._bitset_bfs), a Brandes source its (source,
-# node) cells and DAG arcs.  One batch's transients then stay within
+# paths._LEVEL_ARRAYS per node, a Brandes source its (source, node)
+# cells and DAG arcs.  One batch's transients then stay within
 # three budgets plus 32 B per stored arc whatever the graph size, as
 # tests/test_memory.py checks; the loaders size their runs from it too.
 _BATCH_CELLS = 1 << 19
@@ -319,6 +320,11 @@ def _pool_start(fn, shared) -> None:
 def _pool_call(item):
     fn, shared = _pool_task
     return fn(*shared, item)
+
+
+def _sub_seed(*keys) -> int:
+    """The seed of item ``keys`` (base seed, then indices), in any run order."""
+    return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
 def _unique(values: np.ndarray) -> np.ndarray:

@@ -15,10 +15,14 @@ from .graph import (
     _dfs,
     _pmap,
     _ranges,
+    _tails,
     _trees,
     _unique,
     weak_components,
 )
+
+_LEVEL_ARRAYS = 4  # words x nodes arrays alive in a _bitset_bfs level
+
 
 def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     """Multi-source BFS over a CSR graph, one bit per row, 64 rows per
@@ -36,11 +40,10 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     it before asking for the next level.  Stops when no row advances or
     after ``depth_cap`` levels.
 
-    A level keeps up to four words x nodes arrays alive: the visited
-    bits, the frontier the caller holds, the bits the level reaches and
-    the visited bits they are tested against.  So callers charge each
-    word four cells per node; the gather of a level takes at most
-    ``_BATCH_CELLS`` more.
+    A level keeps ``_LEVEL_ARRAYS`` words x nodes arrays alive (the visited
+    bits, the caller's frontier, the bits the level reaches and the visited
+    bits they are tested against), so callers charge each word that many
+    cells per node; the gather of a level takes at most ``_BATCH_CELLS`` more.
     """
     n = len(indptr) - 1
     rows = np.arange(len(sources))
@@ -53,7 +56,7 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     bits = visited[:, nodes]
     if banned is not None:
         np.bitwise_or.at(visited, (word, banned), bit)
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    owner = _tails(indptr, np.int32)
     slot = np.full(n, -1, dtype=np.intp)
     depth = 0
     while nodes.size and depth != depth_cap:
@@ -131,7 +134,7 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     # exact histogram of ordered reachable pairs by distance
     per_depth: Counter = Counter()
     # items are bitset words of 64 sources, charged as _bitset_bfs asks
-    words = _batches(np.full((n + 63) >> 6, 4 * n))
+    words = _batches(np.full((n + 63) >> 6, _LEVEL_ARRAYS * n))
     for counts in _pmap(_depth_counts, (indptr, indices), words):
         per_depth.update(counts)
     reachable = sum(per_depth.values())
@@ -189,25 +192,22 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
     sources = np.arange(*span)
     b = len(sources)
     roots = np.arange(b) * n + sources
-    dist = np.full(b * n, -1, dtype=np.int32)
+    seen = np.zeros(b * n, dtype=bool)
     sigma = np.zeros(b * n)
-    dist[roots] = 0
+    seen[roots] = True
     sigma[roots] = 1.0
     # per level: the frontier codes, and the DAG arcs out of it as
     # (frontier index of the parent, child code)
     levels = []
     front = roots
-    depth = 0
     while front.size:
-        depth += 1
         base = front - front % n
         node = front - base
-        count = degree[node]
-        parent = np.repeat(np.arange(front.size), count)
-        child = base[parent] + indices[_ranges(indptr[node], count)]
-        fresh = dist[child] < 0
+        parent, arcs = _ranges(indptr[node], degree[node])
+        child = base[parent] + indices[arcs]
+        fresh = ~seen[child]
         parent, child = parent[fresh], child[fresh]
-        dist[child] = depth
+        seen[child] = True
         np.add.at(sigma, child, sigma[front][parent])
         levels.append((front, parent, child))
         front = _unique(child)

@@ -20,14 +20,13 @@ import json
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 
-import numpy as np
-
 from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, _validate, generate_random
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _pmap, largest_wcc, load_graph
+    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _sub_seed, largest_wcc,
+    load_graph,
 )
 
 VERSION = "0.1.0"
@@ -372,10 +371,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
     )
     samples: dict[str, list[float]] = {key: [] for key in _BASELINE_PATHS}
     for r in range(replicates):
-        sub_seed = int(
-            np.random.SeedSequence([spec.seed, r]).generate_state(1, np.uint64)[0]
-        )
-        h = generate_random(replace(spec, seed=sub_seed))
+        h = generate_random(replace(spec, seed=_sub_seed(spec.seed, r)))
         replicate, _, _ = analyze_graph(h, config, f"replicate {r}")
         for key, key_path in _BASELINE_PATHS.items():
             value = _scalar(replicate, *key_path)

@@ -26,6 +26,7 @@ from .graph import (
     _csr,
     _pmap,
     _ranges,
+    _tails,
     _unique,
 )
 
@@ -180,10 +181,9 @@ def _triangles(h: CallGraph) -> np.ndarray:
     width = np.diff(indptr)[indices]
     tri = np.zeros(n, dtype=np.int64)
     for start, stop in _batches(width):
-        count = width[start:stop]
-        mid = np.repeat(indices[start:stop], count)
-        first = np.repeat(tails[start:stop], count)
-        last = indices[_ranges(indptr[indices[start:stop]], count)]
+        arc, wedges = _ranges(indptr[indices[start:stop]], width[start:stop])
+        arc += start
+        mid, first, last = indices[arc], tails[arc], indices[wedges]
         wedge = _codes(n, first, last)
         at = np.minimum(np.searchsorted(codes, wedge), codes.size - 1)
         closed = codes[at] == wedge
@@ -292,16 +292,16 @@ def _pair_classes(h: CallGraph, d_max: int) -> np.ndarray:
     """
     n = h.n
     indptr, indices = h.csr
-    arcs = len(indices)
-    owner = np.repeat(np.arange(n), np.diff(indptr))
+    owner = _tails(indptr, np.int64)
     block = _edge_blocks(h)
     # arc a of node i leads the pairs it forms with the later arcs of i
-    later = indptr[owner + 1] - np.arange(arcs) - 1
+    later = indptr[owner + 1] - np.arange(len(indices)) - 1
     classes = np.zeros((n, d_max + 2), dtype=np.int64)
     # a lead arc costs about eight int64 cells per pair it leads, and
     # its bitset row 1/64 of what _bitset_bfs charges a 64-row word; an
     # arc that leads no pair searches no row
-    spans = _batches(np.where(later > 0, 8 * later + 4 * ((n + 63) >> 6), 0))
+    row = paths._LEVEL_ARRAYS * ((n + 63) >> 6)
+    spans = _batches(np.where(later > 0, 8 * later + row, 0))
     shared = (indptr, indices, owner, block, later, d_max)
     for first, part in _pmap(_lead_classes, shared, spans):
         classes[first : first + len(part)] += part
@@ -313,10 +313,9 @@ def _lead_classes(indptr, indices, owner, block, later, d_max, span):
     ``_pair_classes``, as ``(first, part)``: row r of ``part`` counts
     the classes of node ``first + r``."""
     start, stop = span
-    count = later[start:stop]
-    lead = np.repeat(np.arange(start, stop), count)
     # arc a pairs with a + 1, a + 2, ...
-    other = _ranges(np.arange(start + 1, stop + 1), count)
+    lead, other = _ranges(np.arange(start + 1, stop + 1), later[start:stop])
+    lead += start
     cls = np.zeros(lead.size, dtype=np.int64)
     same = np.flatnonzero(block[lead] == block[other])
     cls[same] = d_max + 1
@@ -354,7 +353,7 @@ def _edge_blocks(h: CallGraph) -> np.ndarray:
     # nodes are numbered by preorder position from here on
     disc = np.empty(n, dtype=np.int64)
     disc[order] = np.arange(n)
-    tail, head = disc[np.repeat(np.arange(n), np.diff(indptr))], disc[indices]
+    tail, head = disc[_tails(indptr, np.int64)], disc[indices]
     # an arc from the shallower end leaves its tail's low point as it is
     low = np.arange(n)
     np.minimum.at(low, tail, head)

@@ -246,6 +246,20 @@ def test_a_float_initial_count_is_a_config_error():
         replace(_GOOD, initial_infected=2.5)
 
 
+def test_a_bool_initial_count_is_a_config_error():
+    # bool is an Integral: True used to be a count of one drawn node
+    with pytest.raises(ConfigError, match="count or a tuple of ids, got True"):
+        replace(_GOOD, initial_infected=True)
+
+
+def test_bool_initial_ids_are_a_config_error():
+    # they used to be the ids 1 and 0: on a 4-node path they gave (2, 0)
+    with pytest.raises(ConfigError, match="True is not an integer"):
+        replace(_GOOD, initial_infected=(True, False))
+    with pytest.raises(ConfigError, match="False is not an integer"):
+        replace(_GOOD, initial_infected=(1, False))
+
+
 def test_numpy_integer_initial_ids_and_counts_are_accepted():
     for numpy_value, value in (((np.int64(3), np.int32(1)), (3, 1)), (np.int64(2), 2)):
         params = replace(_GOOD, initial_infected=numpy_value)

@@ -461,9 +461,11 @@ def test_ranges_concatenate_row_positions(rows):
     starts = np.array([s for s, _ in rows], dtype=np.int32)
     counts = np.array([c for _, c in rows], dtype=np.int32)
     want = [np.arange(s, s + c) for s, c in rows]
-    got = _ranges(starts, counts)
-    assert got.dtype.kind == "i"
+    which, got = _ranges(starts, counts)
+    assert got.dtype.kind == "i" and which.dtype.kind == "i"
     assert got.tolist() == np.concatenate([np.arange(0), *want]).tolist()
+    # the row each position came from
+    assert which.tolist() == [i for i, (_, c) in enumerate(rows) for _ in range(c)]
 
 
 def test_load_and_sweep_build_no_tuple_views(monkeypatch):

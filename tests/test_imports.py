@@ -5,7 +5,8 @@ Hurwitz zeta and bounded Brent minimizer, components and biconnected
 blocks come from one depth-first search, and lambda1 from a numpy
 Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
 scipy, and no command calls it; a scan of the source keeps it the only
-one.  The package's modules import one another without a cycle, also
+one, and another scan keeps ``graph`` the one module that expands CSR
+rows.  The package's modules import one another without a cycle, also
 inside functions.  Corpus pool workers import nothing their parent did
 not.  ``import cgtopo`` loads numpy with one BLAS thread unless the caller
 chose a count, and leaves the environment as it found it.
@@ -68,22 +69,27 @@ def test_sis_commands_import_no_scipy(tmp_path):
     assert result == {"codes": [0, 0], "scipy": []}
 
 
-def _scipy_imports(node, scope=()):
-    """(scope, module) of each ``import scipy...`` statement under
-    ``node``, scope being the names of the enclosing classes and
-    functions."""
+def _scoped(node, scope=()):
+    """(scope, child) for each node under ``node``, scope being the
+    dotted names of the enclosing classes and functions."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom) and not child.level:
-            modules = [child.module]
+        yield ".".join(scope), child
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scoped(child, scope + (child.name,) if named else scope)
+
+
+def _scipy_imports(tree):
+    """(scope, module) of each ``import scipy...`` statement in ``tree``."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
         else:
             modules = []
         for module in modules:
             if module.split(".")[0] == "scipy":
-                yield ".".join(scope), module
-        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _scipy_imports(child, scope + (child.name,) if named else scope)
+                yield scope, module
 
 
 def test_only_the_sparse_adjacency_imports_scipy():
@@ -94,6 +100,28 @@ def test_only_the_sparse_adjacency_imports_scipy():
     }
     assert {name: imports for name, imports in found.items() if imports} == {
         "graph.py": [("CallGraph.adjacency", "scipy.sparse")]
+    }
+
+
+def _repeat_calls(tree):
+    """The scope of each ``np.repeat(...)`` call in ``tree``."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.repeat":
+            yield scope
+
+
+def test_only_graph_expands_csr_rows():
+    # every kernel takes row entries from graph._ranges and arc owners
+    # from graph._tails; the configuration model's stub lists are the
+    # one other repeat
+    package = Path(cgtopo.__file__).resolve().parent
+    found = {
+        path.name: list(_repeat_calls(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "generators.py": ["_erased_configuration_edges"] * 2,
+        "graph.py": ["_tails", "_ranges"],
     }
 
 
