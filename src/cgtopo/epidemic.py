@@ -42,13 +42,19 @@ class SpectralResult:
     residual: float
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's too, and not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SisParams:
     """SIS run parameters, checked when built: a value no run can take
     raises ConfigError.  The run checks that the initial infected fit.
 
-    ``initial_infected`` is a count of nodes to draw or a tuple of node
-    ids, integers either way (numpy's too, bools not), kept as Python ints.
+    ``max_steps``, ``seed`` and ``initial_infected`` (a count of nodes
+    to draw or a tuple of node ids) are integers, numpy's too but not
+    bools, and are kept as Python ints.
     """
 
     beta: float
@@ -62,12 +68,17 @@ class SisParams:
             raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigError(f"delta must be in [0, 1], got {self.delta}")
+        for name in ("max_steps", "seed"):
+            value = getattr(self, name)
+            if not _integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # the class is frozen
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         initial = self.initial_infected
-        if isinstance(initial, Integral) and not isinstance(initial, bool):
+        if _integer(initial):
             if initial < 1:
                 raise ConfigError(f"initial infected count must be >= 1, got {initial}")
             initial = int(initial)
@@ -81,12 +92,12 @@ class SisParams:
             if not initial:
                 raise ConfigError("initial infected set is empty")
             for node in initial:
-                if not isinstance(node, Integral) or isinstance(node, bool):
+                if not _integer(node):
                     raise ConfigError(f"initial infected id {node!r} is not an integer")
                 if node < 0:
                     raise ConfigError(f"initial infected id {node} out of range")
             initial = tuple(map(int, initial))
-        object.__setattr__(self, "initial_infected", initial)  # the class is frozen
+        object.__setattr__(self, "initial_infected", initial)
 
 
 @dataclass(frozen=True)

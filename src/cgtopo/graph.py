@@ -244,9 +244,10 @@ def _ranges(starts, counts) -> tuple[np.ndarray, np.ndarray]:
 # The batch budget, in 8-byte array cells (4 MiB).  Each batched kernel
 # charges an item for the cells its batch keeps alive: a bitset word
 # paths._LEVEL_ARRAYS per node, a Brandes source its (source, node)
-# cells and DAG arcs.  One batch's transients then stay within
-# three budgets plus 32 B per stored arc whatever the graph size, as
-# tests/test_memory.py checks; the loaders size their runs from it too.
+# cells and DAG arcs, a wedge of the triangle count eight.  One batch's
+# transients then stay within three budgets plus 32 B per stored arc
+# whatever the graph size, as tests/test_memory.py checks; the loaders
+# size their runs from it too.
 _BATCH_CELLS = 1 << 19
 
 

@@ -43,7 +43,8 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
     A level keeps ``_LEVEL_ARRAYS`` words x nodes arrays alive (the visited
     bits, the caller's frontier, the bits the level reaches and the visited
     bits they are tested against), so callers charge each word that many
-    cells per node; the gather of a level takes at most ``_BATCH_CELLS`` more.
+    cells per node.  The gather is reduced one word at a time, so it adds
+    one row of 8 B per live arc, not a batch budget.
     """
     n = len(indptr) - 1
     rows = np.arange(len(sources))
@@ -72,10 +73,8 @@ def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
         starts = np.flatnonzero(np.diff(dest, prepend=-1))
         dest = dest[starts]
         reached = np.empty((len(bits), starts.size), dtype=np.uint64)
-        for w0, w1 in _batches(np.full(len(bits), live.size)):
-            np.bitwise_or.reduceat(
-                bits[w0:w1].take(pred, axis=1), starts, axis=1, out=reached[w0:w1]
-            )
+        for w in range(len(bits)):
+            np.bitwise_or.reduceat(bits[w].take(pred), starts, out=reached[w])
         # in place: reached | seen is the new visited, and its xor with
         # seen the bits first reached here; seen goes before the new
         # frontier is copied out, so no more than four arrays are alive

@@ -204,6 +204,13 @@ def test_param_errors_no_graph_can_fix_are_config_errors():
         dict(initial_infected=0),
         dict(initial_infected=()),
         dict(initial_infected=(0, -1)),
+        # not integers: range and SeedSequence raised a bare TypeError,
+        # and bools ran as 1
+        dict(max_steps=2.5),
+        dict(max_steps=True),
+        dict(seed=1.5),
+        dict(seed=math.nan),
+        dict(seed=True),
     ):
         with pytest.raises(ConfigError):
             replace(good, **bad)  # building the params checks them
@@ -267,6 +274,13 @@ def test_numpy_integer_initial_ids_and_counts_are_accepted():
         assert type(params.initial_infected) is type(value)
         plain = sis_simulate(path_graph(4), replace(_GOOD, initial_infected=value))
         assert sis_simulate(path_graph(4), params) == plain
+
+
+def test_numpy_integer_steps_and_seed_are_kept_as_ints():
+    params = replace(_GOOD, max_steps=np.int32(5), seed=np.uint64(1))
+    assert (params.max_steps, params.seed) == (5, 1)
+    assert type(params.max_steps) is int and type(params.seed) is int
+    assert sis_simulate(path_graph(4), params) == sis_simulate(path_graph(4), _GOOD)
 
 
 def _oracle_sis(g, params, flips=None):

@@ -5,8 +5,9 @@ Hurwitz zeta and bounded Brent minimizer, components and biconnected
 blocks come from one depth-first search, and lambda1 from a numpy
 Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
 scipy, and no command calls it; a scan of the source keeps it the only
-one, and another scan keeps ``graph`` the one module that expands CSR
-rows.  The package's modules import one another without a cycle, also
+one, another keeps ``graph`` the one module that expands CSR rows, and
+a third finds every function that batches by ``graph._batches`` among
+the kernels ``tests/test_memory.py`` bounds.  The package's modules import one another without a cycle, also
 inside functions.  Corpus pool workers import nothing their parent did
 not.  ``import cgtopo`` loads numpy with one BLAS thread unless the caller
 chose a count, and leaves the environment as it found it.
@@ -23,6 +24,7 @@ from pathlib import Path
 import cgtopo
 from cgtopo.fixtures import star_graph, to_edge_list
 from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
+from test_memory import KERNELS
 
 
 def _run(script: str, *argv, env=None) -> str:
@@ -123,6 +125,26 @@ def test_only_graph_expands_csr_rows():
         "generators.py": ["_erased_configuration_edges"] * 2,
         "graph.py": ["_tails", "_ranges"],
     }
+
+
+def _batch_calls(tree):
+    """The scope of each call of ``graph._batches`` in ``tree``."""
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in (
+            "_batches",
+            "graph._batches",
+        ):
+            yield scope
+
+
+def test_every_batching_kernel_is_memory_bounded():
+    package = Path(cgtopo.__file__).resolve().parent
+    found = {
+        f"{path.stem}.{scope}"
+        for path in package.glob("*.py")
+        for scope in _batch_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == set(KERNELS)
 
 
 def _relative_imports(tree) -> set[str]:

@@ -7,7 +7,8 @@ plus 32 bytes per stored arc of the symmetrized graph, each loader's
 within 10 bytes per input byte, and each derived CSR build's
 (``symmetrize``, ``in_csr``) within 32 bytes per stored directed arc,
 whatever the graph size: so a process's peak is its graph plus a
-constant.
+constant.  ``KERNELS`` lists every function of the package that batches
+by ``graph._batches``; ``tests/test_imports.py`` checks that it is whole.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ import pytest
 
 from cgtopo import graph, paths, topology
 from cgtopo.fixtures import permutation_core_graph, to_edge_list
-from cgtopo.generators import ERASED_CONFIG, RandomGraphSpec, generate_random
+from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_random
 from cgtopo.graph import load_dot_subset, load_edge_list
 
 LOADER_BYTES_PER_INPUT_BYTE = 10
@@ -37,6 +38,32 @@ def _peak(fn, *args) -> int:
 
 def _bound(g) -> int:
     return 3 * graph._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
+
+
+def _first_block(g) -> tuple[int, int]:
+    return next(graph._batches(np.full(g.n, max(g.n, g.indices.size))))
+
+
+# each batching function, by module and name, with the call whose traced
+# peak on a graph g bounds it: betweenness by its first block of sources
+KERNELS = {
+    "paths.harmonic_geodesic_mean": lambda g: (paths.harmonic_geodesic_mean, g),
+    "paths.betweenness": lambda g: (paths._brandes_block, *g.csr, _first_block(g)),
+    "topology._pair_classes": lambda g: (topology._pair_classes, g.undirected, 6),
+    "topology._triangles": lambda g: (topology._triangles, g.undirected),
+}
+
+
+def _kernel_overruns(g, names) -> dict[str, int]:
+    """Traced peak of each of the ``KERNELS`` named on ``g`` over its
+    bound."""
+    over = {}
+    for name in names:
+        fn, *args = KERNELS[name](g)
+        peak = _peak(fn, *args)
+        if peak > _bound(g):
+            over[name] = peak
+    return over
 
 
 def _dot(edge_text: str) -> bytes:
@@ -81,16 +108,25 @@ def kernel_5000():
 
 
 def test_path_kernels_within_bound(serial, kernel_5000):
+    kernel_5000.undirected.weak_search  # the analysis caches it before the profile
+    # 40 neighbours a node on average: the wedges, not the arcs, fill the
+    # triangle count's batches (bound 14.4 MiB)
+    dense = generate_random(RandomGraphSpec(model=GNM, n=2000, m=40_000, seed=1))
+    overruns = (
+        _kernel_overruns(kernel_5000, KERNELS),
+        _kernel_overruns(dense, ["topology._triangles"]),
+    )
+    assert overruns == ({}, {})
+
+
+def test_geodesic_gathers_one_word_at_a_time(serial, kernel_5000):
+    # one budget plus 64 B per stored arc, 6.1 MiB here: a level's gather
+    # adds one row of 8 B per live arc, not a batch budget
     g = kernel_5000
-    h = g.undirected
-    h.weak_search  # the analysis has cached it before the profile runs
-    block = next(graph._batches(np.full(g.n, max(g.n, g.indices.size))))
-    peaks = {
-        "geodesic": _peak(paths.harmonic_geodesic_mean, g),
-        "pair_classes": _peak(topology._pair_classes, h, 6),
-        "brandes_block": _peak(paths._brandes_block, *g.csr, block),
-    }
-    assert {name: peak for name, peak in peaks.items() if peak > _bound(g)} == {}
+    g.in_csr  # the directed search reads it; its build is bounded below
+    bound = graph._BATCH_CELLS * 8 + 64 * g.undirected.indices.size
+    peaks = {d: _peak(paths.harmonic_geodesic_mean, g, d) for d in (False, True)}
+    assert {d: peak for d, peak in peaks.items() if peak > bound} == {}
 
 
 def test_profile_of_a_heavy_tailed_graph_within_bound(serial):
@@ -125,9 +161,9 @@ def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
         # as _pmap does, the spans are listed before any runs
         return [fn(*shared, list(items)[0])]
 
-    peaks = {"geodesic": _peak(paths.harmonic_geodesic_mean, g)}
     # the profile's shared arrays and its first span of lead arcs
     monkeypatch.setattr(topology, "_pmap", first_span)
-    peaks["pair_classes"] = _peak(topology._pair_classes, h, 6)
-    kernels = {name: peak for name, peak in peaks.items() if peak > _bound(g)}
+    kernels = _kernel_overruns(
+        g, ["paths.harmonic_geodesic_mean", "topology._pair_classes", "topology._triangles"]
+    )
     assert (loaders, builds, kernels) == ({}, {}, {})

@@ -425,8 +425,8 @@ def test_batched_kernels_independent_of_batch_size(monkeypatch, n):
     geo_dir = harmonic_geodesic_mean(g, directed=True)
     btw = betweenness(g).values
     # 1 cell: one bitset word and one Brandes source per batch; 16n
-    # cells: four words per batch (each charged 4n), reduced one or two
-    # words at a time; then blocks of exactly 64 sources
+    # cells: four words per batch (each charged 4n); then blocks of
+    # exactly 64 sources.  Each level's gather reduces one word at a time
     for cells in (1, 16 * g.n, 64 * max(g.n, g.m)):
         monkeypatch.setattr(graph, "_BATCH_CELLS", cells)
         assert harmonic_geodesic_mean(g) == geo
