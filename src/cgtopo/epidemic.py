@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -52,9 +52,10 @@ class SisParams:
     """SIS run parameters, checked when built: a value no run can take
     raises ConfigError.  The run checks that the initial infected fit.
 
+    ``beta`` and ``delta`` are real numbers, kept as Python floats;
     ``max_steps``, ``seed`` and ``initial_infected`` (a count of nodes
-    to draw or a tuple of node ids) are integers, numpy's too but not
-    bools, and are kept as Python ints.
+    to draw or a tuple of node ids) are integers, kept as Python ints.
+    Any of them may be a numpy scalar, but none a bool.
     """
 
     beta: float
@@ -64,10 +65,13 @@ class SisParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ConfigError(f"delta must be in [0, 1], got {self.delta}")
+        for name in ("beta", "delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and not isinstance(value, bool)):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+            object.__setattr__(self, name, float(value))
         for name in ("max_steps", "seed"):
             value = getattr(self, name)
             if not _integer(value):

@@ -181,42 +181,44 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
     """Summed dependencies of sources ``span = (start, stop)`` on every
     node, as an n-vector.
 
-    Cells are flat codes b*n + v for block row b (source ``sources[b]``)
-    and node v.  Path counts sigma are float64: exact below 2**53, and
-    they round instead of wrapping above it; being integer sums there,
-    they do not depend on the frontier order.
+    Cells are flat int32 codes b*n + v for block row b (source
+    ``sources[b]``) and node v: each source is charged n cells or more,
+    so a block's b*n is at most ``max(n, _BATCH_CELLS)``, below 2**31.
+    Path counts sigma are float64: exact below 2**53, and they round
+    instead of wrapping above it; being integer sums there, they do not
+    depend on the frontier order.  Each level keeps its DAG arcs only,
+    as int32 (parent cell, child cell) pairs; both passes add each
+    cell's terms in arc order.
     """
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    sources = np.arange(*span)
-    b = len(sources)
-    roots = np.arange(b) * n + sources
-    seen = np.zeros(b * n, dtype=bool)
-    sigma = np.zeros(b * n)
+    sources = np.arange(*span, dtype=np.int32)
+    roots = np.arange(len(sources), dtype=np.int32) * n + sources
+    seen = np.zeros(len(sources) * n, dtype=bool)
+    sigma = np.zeros(seen.size)
     seen[roots] = True
     sigma[roots] = 1.0
-    # per level: the frontier codes, and the DAG arcs out of it as
-    # (frontier index of the parent, child code)
+    # gathers go through take: indexing by an int32 array copies it to
+    # intp first; the fresh arcs are picked by their positions, which is
+    # several times faster than a bool mask that passes about half of them
     levels = []
     front = roots
     while front.size:
         base = front - front % n
         node = front - base
-        parent, arcs = _ranges(indptr[node], degree[node])
-        child = base[parent] + indices[arcs]
-        fresh = ~seen[child]
-        parent, child = parent[fresh], child[fresh]
+        parent, arcs = _ranges(indptr.take(node), degree.take(node))
+        child = base.take(parent) + indices.take(arcs)
+        fresh = np.flatnonzero(~seen.take(child))
+        up, child = front.take(parent.take(fresh)), child.take(fresh)
         seen[child] = True
-        np.add.at(sigma, child, sigma[front][parent])
-        levels.append((front, parent, child))
+        np.add.at(sigma, child, sigma.take(up))
+        levels.append((up, child))
         front = _unique(child)
-    delta = np.zeros(b * n)
-    for front, parent, child in reversed(levels):
-        coeff = (1.0 + delta[child]) / sigma[child]
-        terms = sigma[front][parent] * coeff
-        delta[front] += np.bincount(parent, weights=terms, minlength=front.size)
+    delta = np.zeros(seen.size)
+    for up, child in reversed(levels):
+        np.add.at(delta, up, sigma.take(up) * ((1.0 + delta.take(child)) / sigma.take(child)))
     delta[roots] = 0.0
-    return delta.reshape(b, n).sum(axis=0)
+    return delta.reshape(-1, n).sum(axis=0)
 
 
 def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:

@@ -267,6 +267,29 @@ def test_bool_initial_ids_are_a_config_error():
         replace(_GOOD, initial_infected=(1, False))
 
 
+def test_rates_that_are_not_real_numbers_are_config_errors():
+    # a string or None raised a bare TypeError from the range check
+    for name in ("beta", "delta"):
+        for value in ("0.5", None, 0.5j):
+            with pytest.raises(ConfigError, match=f"{name} must be a real number"):
+                replace(_GOOD, **{name: value})
+
+
+def test_bool_rates_are_config_errors():
+    # bool is a Real: beta=True used to build and run as 1.0
+    for name in ("beta", "delta"):
+        for value in (True, False):
+            with pytest.raises(ConfigError, match=f"{name} must be a real number, got {value}"):
+                replace(_GOOD, **{name: value})
+
+
+def test_rates_are_kept_as_python_floats():
+    for value in (1, np.float32(0.25), np.float64(0.3), np.int64(0)):
+        params = replace(_GOOD, beta=value, delta=value)
+        assert type(params.beta) is float and type(params.delta) is float
+        assert params.beta == params.delta == float(value)
+
+
 def test_numpy_integer_initial_ids_and_counts_are_accepted():
     for numpy_value, value in (((np.int64(3), np.int32(1)), (3, 1)), (np.int64(2), 2)):
         params = replace(_GOOD, initial_infected=numpy_value)

@@ -129,12 +129,25 @@ def test_geodesic_gathers_one_word_at_a_time(serial, kernel_5000):
     assert {d: peak for d, peak in peaks.items() if peak > bound} == {}
 
 
-def test_profile_of_a_heavy_tailed_graph_within_bound(serial):
+@pytest.fixture(scope="module")
+def powerlaw_2000():
     # the analyze-powerlaw benchmark graph: its hubs lead most pairs
-    g = generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=7))
-    h = g.undirected
+    return generate_random(RandomGraphSpec(model=ERASED_CONFIG, n=2000, gamma=2.5, seed=7))
+
+
+def test_profile_of_a_heavy_tailed_graph_within_bound(serial, powerlaw_2000):
+    h = powerlaw_2000.undirected
     h.weak_search
-    assert _peak(topology._pair_classes, h, 6) <= _bound(g)
+    assert _peak(topology._pair_classes, h, 6) <= _bound(powerlaw_2000)
+
+
+def test_brandes_block_of_a_heavy_tailed_graph_within_two_budgets(powerlaw_2000):
+    # two budgets plus 32 B per stored arc, 8.2 MiB here: each level
+    # keeps only its DAG arcs, as int32 (parent cell, child cell) pairs
+    g = powerlaw_2000
+    fn, *args = KERNELS["paths.betweenness"](g)
+    bound = 2 * graph._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
+    assert _peak(fn, *args) <= bound
 
 
 def test_loaders_within_bound(kernel_5000):
@@ -163,7 +176,5 @@ def test_bounds_hold_on_linux_sim(serial, corpus_dir, monkeypatch):
 
     # the profile's shared arrays and its first span of lead arcs
     monkeypatch.setattr(topology, "_pmap", first_span)
-    kernels = _kernel_overruns(
-        g, ["paths.harmonic_geodesic_mean", "topology._pair_classes", "topology._triangles"]
-    )
+    kernels = _kernel_overruns(g, KERNELS)
     assert (loaders, builds, kernels) == ({}, {}, {})
