@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .epidemic import SisParams, sis_simulate, sweep_betas, threshold_sweep
-from .generators import ERASED_CONFIG, GNM, RandomGraphSpec, validate_model
-from .graph import CallGraphError, ConfigError, InputError
+from .generators import ERASED_CONFIG, GNM, RandomGraphSpec
+from .graph import CallGraphError, ConfigError, InputError, _integer
 from .report import (
     CORPUS_DEFAULT_METRICS,
     METRICS,
@@ -170,13 +171,13 @@ def _run_analyze(args) -> int:
     config = _config(args, METRICS)
     baseline = args.command == "baseline"
     if baseline:
-        if args.replicates < 2:
-            raise ConfigError(f"--replicates must be >= 2, got {args.replicates}")
-        validate_model(args.model, args.gamma)
+        # checked now with a stand-in size; the graph's replaces it
+        _integer("--replicates", args.replicates, 2)
+        spec = RandomGraphSpec(args.model, n=1, gamma=args.gamma, seed=args.seed)
     g = load_graph(args.path, args.format)
     report, extras, failures = analyze_graph(g, config, label=args.path)
     if baseline:
-        spec = RandomGraphSpec(args.model, n=g.n, m=g.m, gamma=args.gamma, seed=args.seed)
+        spec = replace(spec, n=g.n, m=g.m)
         report["baseline"] = compare_baseline(report, spec, args.replicates)
     _emit(to_json(report), args.out, "report.json")
     if args.output == "csv":

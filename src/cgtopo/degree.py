@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CallGraph, CallGraphError, ConfigError, InputError, _unique
+from .graph import CallGraph, CallGraphError, ConfigError, InputError, _integer, _unique
 
 _GAMMA_BOUNDS = (1.0 + 1e-9, 50.0)
 
@@ -269,15 +269,15 @@ def fit_power_law(seq: DegreeSequence, x_min: int | None = None) -> PowerLawFit:
     x_min.  Passing x_min pins the cutoff instead of scanning, which
     is what a like-for-like model comparison on a fixed tail wants.
     """
+    if x_min is not None:
+        x_min = _integer("x_min", x_min, 1)
     positives = np.sort(np.asarray([v for v in seq.values if v > 0], dtype=np.int64))
     distinct_all = _unique(positives)
     if distinct_all.size < 2:
         raise DegenerateSampleError(
             "need at least 2 distinct positive degrees to fit a power law"
         )
-    if x_min is not None and x_min < 1:
-        raise ConfigError(f"x_min must be >= 1, got {x_min}")
-    candidates = distinct_all.tolist() if x_min is None else [int(x_min)]
+    candidates = distinct_all.tolist() if x_min is None else [x_min]
     logs = np.log(positives.astype(np.float64))
     suffix_log = np.concatenate([np.cumsum(logs[::-1])[::-1], [0.0]])
     best: PowerLawFit | None = None
@@ -308,8 +308,7 @@ def fit_power_law(seq: DegreeSequence, x_min: int | None = None) -> PowerLawFit:
 
 def fit_exponential(seq: DegreeSequence, x_min: int) -> ExponentialFit:
     """Geometric MLE on the tail >= x_min: q = 1 / (1 + mean(x - x_min))."""
-    if x_min < 1:
-        raise ConfigError(f"x_min must be >= 1, got {x_min}")
+    x_min = _integer("x_min", x_min, 1)
     tail = [v for v in seq.values if v >= x_min]
     if not tail:
         raise InputError(f"empty tail at x_min={x_min}")

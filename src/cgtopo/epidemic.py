@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _ranges, _sub_seed,
-    largest_wcc,
+    CallGraph, CallGraphError, ConfigError, InputError, _integer, _pmap, _ranges, _real,
+    _sub_seed, largest_wcc,
 )
 
 
@@ -42,20 +41,15 @@ class SpectralResult:
     residual: float
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's too, and not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SisParams:
-    """SIS run parameters, checked when built: a value no run can take
+    """SIS run parameters, checked when built by the rule of
+    ``graph._integer`` and ``graph._real``: a value no run can take
     raises ConfigError.  The run checks that the initial infected fit.
 
-    ``beta`` and ``delta`` are real numbers, kept as Python floats;
-    ``max_steps``, ``seed`` and ``initial_infected`` (a count of nodes
-    to draw or a tuple of node ids) are integers, kept as Python ints.
-    Any of them may be a numpy scalar, but none a bool.
+    ``beta`` and ``delta`` are real numbers in [0, 1]; ``max_steps``,
+    ``seed`` and ``initial_infected`` (a count of nodes to draw or a
+    tuple of node ids) are integers.
     """
 
     beta: float
@@ -66,41 +60,19 @@ class SisParams:
 
     def __post_init__(self) -> None:
         for name in ("beta", "delta"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and not isinstance(value, bool)):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            value = _real(name, getattr(self, name))
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-            object.__setattr__(self, name, float(value))
-        for name in ("max_steps", "seed"):
-            value = getattr(self, name)
-            if not _integer(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # the class is frozen
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            object.__setattr__(self, name, value)  # the class is frozen
+        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         initial = self.initial_infected
-        if _integer(initial):
-            if initial < 1:
-                raise ConfigError(f"initial infected count must be >= 1, got {initial}")
-            initial = int(initial)
-        else:
-            try:
-                initial = tuple(initial)
-            except TypeError:
-                raise ConfigError(
-                    f"initial infected must be a count or a tuple of ids, got {initial!r}"
-                ) from None
-            if not initial:
-                raise ConfigError("initial infected set is empty")
-            for node in initial:
-                if not _integer(node):
-                    raise ConfigError(f"initial infected id {node!r} is not an integer")
-                if node < 0:
-                    raise ConfigError(f"initial infected id {node} out of range")
-            initial = tuple(map(int, initial))
+        try:
+            initial = tuple(_integer("initial infected id", node, 0) for node in initial)
+        except TypeError:  # not a tuple of ids, so a count of nodes to draw
+            initial = _integer("initial infected count", initial, 1)
+        if not initial:
+            raise ConfigError("initial infected set is empty")
         object.__setattr__(self, "initial_infected", initial)
 
 
@@ -141,8 +113,9 @@ def spectral_radius(g: CallGraph, tolerance: float = 1e-10) -> SpectralResult:
     [sqrt(d_max), d_max] bounds, else ConvergenceError.  ``iterations``
     in the result counts the solver's applications of A.
     """
-    if not tolerance > 0:  # also rejects NaN
-        raise ConfigError("tolerance must be positive")
+    tolerance = _real("tolerance", tolerance)
+    if not 0 < tolerance < math.inf:  # also rejects NaN
+        raise ConfigError(f"tolerance must be in (0, inf), got {tolerance}")
     h = largest_wcc(g.undirected)
     if h.m == 0:
         raise InputError("spectral radius undefined on an edgeless graph")
@@ -308,8 +281,7 @@ def sweep_betas(ratios, runs_per_ratio: int, delta: float) -> tuple[float, ...]:
         raise ConfigError("ratios must be nonempty")
     if list(ratios) != sorted(ratios):
         raise ConfigError("ratios must be sorted ascending")
-    if runs_per_ratio < 1:
-        raise ConfigError("runs_per_ratio must be >= 1")
+    _integer("runs_per_ratio", runs_per_ratio, 1)
     betas = tuple(ratio * delta for ratio in ratios)
     for ratio, beta in zip(ratios, betas):
         if not 0.0 <= beta <= 1.0:
@@ -331,7 +303,8 @@ def threshold_sweep(
     the sweep is reproducible and runs may execute in any order.
     """
     _check_fits(base_params, g.n)
-    ratios = tuple(float(r) for r in ratios)
+    ratios = tuple(_real("ratio", r) for r in ratios)
+    runs_per_ratio = _integer("runs_per_ratio", runs_per_ratio, 1)
     betas = sweep_betas(ratios, runs_per_ratio, base_params.delta)
     g.undirected  # built once, before the runs fork
     runs = [(i, j) for i in range(len(betas)) for j in range(runs_per_ratio)]

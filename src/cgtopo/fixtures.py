@@ -21,7 +21,7 @@ from .generators import (
     generate_random,
     top_up_codes,
 )
-from .graph import CallGraph, ConfigError, to_edge_list
+from .graph import CallGraph, ConfigError, _integer, to_edge_list
 
 
 def path_graph(n: int) -> CallGraph:
@@ -49,8 +49,7 @@ def bridged_triangles(count: int = 10) -> CallGraph:
     links consecutive triangles.  Strongly clustered by construction:
     most nodes keep the full triangle around them.
     """
-    if count < 1:
-        raise ConfigError("count must be >= 1")
+    count = _integer("count", count, 1)
     pairs = []
     for i in range(count):
         a = 3 * i
@@ -65,8 +64,7 @@ def hierarchical_graph(levels: int = 3) -> CallGraph:
     level, each replica's outermost nodes wired back to the root hub.
     Low-degree nodes sit in cliques while hubs bridge sparse regions,
     so mean clustering falls as degree grows."""
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
+    levels = _integer("levels", levels, 1)
     edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     outer = [1, 2, 3, 4]
     size = 5
@@ -88,6 +86,7 @@ def permutation_core_graph(n: int, m: int, seed: int) -> CallGraph:
     """Directed graph with exactly m edges and no isolated nodes: a
     random permutation cycle covers every node, then distinct random
     edges top the count up to m."""
+    n, m, seed = _integer("n", n, 1), _integer("m", m, 0), _integer("seed", seed, 0)
     if m < n:
         raise ConfigError(f"need m >= n to cover all nodes, got m={m} n={n}")
     if m > n * (n - 1):

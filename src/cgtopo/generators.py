@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .degree import _zeta
-from .graph import CallGraph, ConfigError
+from .graph import CallGraph, ConfigError, _integer, _real
 
 GNM = "erdos_renyi_gnm"
 ERASED_CONFIG = "erased_configuration"
@@ -19,7 +20,8 @@ class SpecError(ConfigError):
 
 @dataclass(frozen=True)
 class RandomGraphSpec:
-    """Parameters for generate_random; seed makes the draw reproducible."""
+    """Parameters for generate_random; seed makes the draw reproducible.
+    Checked when built: a bad value raises SpecError."""
 
     model: str
     n: int
@@ -27,28 +29,23 @@ class RandomGraphSpec:
     gamma: float | None = None
     seed: int = 0
 
-
-def validate_model(model: str, gamma: float | None) -> None:
-    """SpecError unless ``model`` is known and ``gamma`` suits it; these
-    checks need no graph size."""
-    if model not in (GNM, ERASED_CONFIG):
-        raise SpecError(f"unknown model: {model!r}")
-    if gamma is not None and not np.isfinite(gamma):
-        raise SpecError(f"gamma must be finite, got {gamma}")
-    if model == ERASED_CONFIG and (gamma is None or gamma <= 1):
-        raise SpecError("erased_configuration requires gamma > 1")
-
-
-def _validate(spec: RandomGraphSpec) -> None:
-    validate_model(spec.model, spec.gamma)
-    if spec.n < 1:
-        raise SpecError(f"n must be >= 1, got {spec.n}")
-    if spec.seed < 0:
-        raise SpecError(f"seed must be non-negative, got {spec.seed}")
-    if spec.model == GNM and not 0 <= spec.m <= spec.n * (spec.n - 1):
-        raise SpecError(
-            f"m={spec.m} outside [0, n(n-1)] = [0, {spec.n * (spec.n - 1)}]"
-        )
+    def __post_init__(self) -> None:
+        if self.model not in (GNM, ERASED_CONFIG):
+            raise SpecError(f"unknown model: {self.model!r}")
+        gamma = self.gamma
+        if gamma is not None:
+            gamma = _real("gamma", gamma, SpecError)
+            if not math.isfinite(gamma):
+                raise SpecError(f"gamma must be finite, got {gamma}")
+        if self.model == ERASED_CONFIG and (gamma is None or gamma <= 1):
+            raise SpecError("erased_configuration requires gamma > 1")
+        n = _integer("n", self.n, 1, SpecError)
+        seed = _integer("seed", self.seed, 0, SpecError)
+        m = _integer("m", self.m, 0, SpecError)
+        if self.model == GNM and m > n * (n - 1):
+            raise SpecError(f"m={m} outside [0, n(n-1)] = [0, {n * (n - 1)}]")
+        for name, value in (("gamma", gamma), ("n", n), ("m", m), ("seed", seed)):
+            object.__setattr__(self, name, value)  # the class is frozen
 
 
 def sample_power_law(
@@ -60,10 +57,10 @@ def sample_power_law(
     10^6 support points; draws falling beyond the table (probability
     ~1e-9 per draw at gamma=2.5) use the asymptotic tail inverse.
     """
+    gamma = _real("gamma", gamma, SpecError)
     if gamma <= 1:
         raise SpecError("power-law sampler requires gamma > 1")
-    if x_min < 1:
-        raise SpecError(f"power-law sampler requires x_min >= 1, got {x_min}")
+    x_min = _integer("x_min", x_min, 1, SpecError)
     table = 1_000_000
     support = np.arange(x_min, x_min + table, dtype=np.float64)
     norm = _zeta(gamma, x_min)
@@ -137,7 +134,6 @@ def generate_random(spec: RandomGraphSpec) -> CallGraph:
     total, pairs stubs uniformly and erases self-loops and duplicates,
     so the realized edge count may fall below the stub total.
     """
-    _validate(spec)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.model == GNM:
         pairs = _gnm_edges(spec.n, spec.m, rng)

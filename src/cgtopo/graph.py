@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, filterfalse
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,6 +39,25 @@ class ParseError(InputError):
 class ConfigError(InputError):
     """A parameter value that is wrong whatever the graph; the CLI exits 3
     on it."""
+
+
+def _integer(name: str, value, low: int, error=ConfigError) -> int:
+    """``value`` as a Python int; ``error`` unless it is an integer (numpy's
+    too, but not a bool) of at least ``low``.  This and ``_real`` are the
+    one rule for settings, so a report writes them as plain JSON numbers."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} {value!r} is not an integer")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, error=ConfigError) -> float:
+    """``value`` as a Python float; ``error`` unless it is a real number
+    (numpy's too, but not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,16 +17,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from . import degree as deg
 from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
-from .generators import GNM, RandomGraphSpec, _validate, generate_random
+from .generators import GNM, RandomGraphSpec, generate_random
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _pmap, _sub_seed, largest_wcc,
-    load_graph,
+    CallGraph, CallGraphError, ConfigError, InputError, _integer, _pmap, _real, _sub_seed,
+    largest_wcc, load_graph,
 )
 
 VERSION = "0.1.0"
@@ -101,6 +102,10 @@ class AnalysisConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.metrics, str):
+            raise ConfigError(
+                f"metrics must be a tuple of metric names {METRICS}, got {self.metrics!r}"
+            )
         if not self.metrics:
             raise ConfigError("metric selection is empty")
         unknown = [m for m in self.metrics if m not in METRICS]
@@ -108,12 +113,13 @@ class AnalysisConfig:
             raise ConfigError(f"unknown metrics: {', '.join(unknown)}")
         if self.fmt not in ("edgelist", "dot"):
             raise ConfigError(f"unknown input format: {self.fmt!r}")
-        if self.d_max < 1:
-            raise ConfigError(f"--d-max must be >= 1, got {self.d_max}")
-        if not 0 < self.tolerance < float("inf"):
-            raise ConfigError(f"--tolerance must be in (0, inf), got {self.tolerance}")
-        if self.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {self.seed}")
+        # the class is frozen, so the checked values go in by object.__setattr__
+        object.__setattr__(self, "d_max", _integer("--d-max", self.d_max, 1))
+        tolerance = _real("--tolerance", self.tolerance)
+        if not 0 < tolerance < math.inf:
+            raise ConfigError(f"--tolerance must be in (0, inf), got {tolerance}")
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "seed", _integer("--seed", self.seed, 0))
 
 
 def _section(node):
@@ -315,8 +321,7 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     order always follows the manifest, so parallel and serial runs
     serialize identically.
     """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+    jobs = _integer("jobs", jobs, 1)
     entries = read_manifest(manifest_path)
     # largest input first, so that the slowest entry does not start
     # last; an unreadable file sorts as empty and its worker reports it
@@ -356,9 +361,7 @@ def compare_baseline(report: dict, spec: RandomGraphSpec, replicates: int) -> di
     geodesics follow edge directions when the report's do.  A measure a
     replicate leaves undefined is not sampled.
     """
-    if replicates < 2:
-        raise ConfigError(f"replicates must be >= 2, got {replicates}")
-    _validate(spec)
+    replicates = _integer("replicates", replicates, 2)
     n, m = report["graph"]["n"], report["graph"]["m"]
     if spec.n != n or (spec.model == GNM and spec.m != m):
         raise InputError(

@@ -24,6 +24,7 @@ from .graph import (
     _batches,
     _codes,
     _csr,
+    _integer,
     _pmap,
     _ranges,
     _tails,
@@ -253,8 +254,7 @@ def clustering_profile(g: CallGraph, d_max: int) -> ClusteringProfile:
     and disconnected pairs are aggregated separately so the classes
     always account for every pair.
     """
-    if d_max < 1:
-        raise ConfigError(f"d_max must be >= 1, got {d_max}")
+    d_max = _integer("d_max", d_max, 1)
     h = g.undirected
     degree = h.out_degrees
     eligible = np.flatnonzero(degree >= 2)

@@ -5,8 +5,9 @@ Hurwitz zeta and bounded Brent minimizer, components and biconnected
 blocks come from one depth-first search, and lambda1 from a numpy
 Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
 scipy, and no command calls it; a scan of the source keeps it the only
-one, another keeps ``graph`` the one module that expands CSR rows, and
-a third finds every function that batches by ``graph._batches`` among
+one, another keeps ``graph`` the one module that expands CSR rows and
+the one that imports ``numbers`` (the type rule of settings), and a
+third finds every function that batches by ``graph._batches`` among
 the kernels ``tests/test_memory.py`` bounds.  The package's modules import one another without a cycle, also
 inside functions.  Corpus pool workers import nothing their parent did
 not.  ``import cgtopo`` loads numpy with one BLAS thread unless the caller
@@ -125,6 +126,21 @@ def test_only_graph_expands_csr_rows():
         "generators.py": ["_erased_configuration_edges"] * 2,
         "graph.py": ["_tails", "_ranges"],
     }
+
+
+def test_only_graph_imports_numbers():
+    # graph._integer and graph._real hold the one type rule of integer
+    # and real settings; a second isinstance(value, Integral) elsewhere
+    # would be a second rule
+    package = Path(cgtopo.__file__).resolve().parent
+    found = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.ImportFrom) and node.module == "numbers")
+        or (isinstance(node, ast.Import) and "numbers" in {a.name for a in node.names})
+    }
+    assert found == {"graph.py"}
 
 
 def _batch_calls(tree):

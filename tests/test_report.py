@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing.pool
 
+import numpy as np
 import pytest
 
 from cgtopo import (
@@ -13,6 +14,7 @@ from cgtopo import (
     InputError,
     ParseError,
     RandomGraphSpec,
+    SisParams,
     SpecError,
     ValidationError,
     analyze,
@@ -27,7 +29,9 @@ from cgtopo import (
     load_edge_list,
     parse_manifest,
     read_manifest,
+    sample_power_law,
     spectral_radius,
+    threshold_sweep,
     to_json,
 )
 from cgtopo.cli import main
@@ -376,19 +380,31 @@ _G = hierarchical_graph(2)
 _SEQ = degree_sequence(_G, "total")
 
 
+_SIS = SisParams(beta=0.5, delta=0.5, initial_infected=1, max_steps=5, seed=1)
+
+
+# message: a pattern the error text must match, or None
 @pytest.mark.parametrize(
-    "call, no_graph_can_fix",
+    "call, no_graph_can_fix, message",
     [
-        pytest.param(lambda: assortativity(_G, "sideways"), True, id="assortativity-mode"),
-        pytest.param(lambda: degree_sequence(_G, "sideways"), True, id="degree-mode"),
-        pytest.param(lambda: clustering_profile(_G, 0), True, id="profile-d_max"),
-        pytest.param(lambda: fit_power_law(_SEQ, 0), True, id="power-law-x_min"),
-        pytest.param(lambda: fit_exponential(_SEQ, 0), True, id="exponential-x_min"),
-        pytest.param(lambda: spectral_radius(_G, 0.0), True, id="spectral-tolerance"),
-        pytest.param(lambda: bridged_triangles(0), True, id="bridged-triangles-count"),
-        pytest.param(lambda: hierarchical_graph(0), True, id="hierarchical-levels"),
-        pytest.param(lambda: permutation_core_graph(5, 4, 1), True, id="core-m-below-n"),
-        pytest.param(lambda: permutation_core_graph(3, 7, 1), True, id="core-m-above-max"),
+        pytest.param(
+            lambda: assortativity(_G, "sideways"), True, None, id="assortativity-mode"
+        ),
+        pytest.param(lambda: degree_sequence(_G, "sideways"), True, None, id="degree-mode"),
+        pytest.param(lambda: clustering_profile(_G, 0), True, None, id="profile-d_max"),
+        pytest.param(lambda: fit_power_law(_SEQ, 0), True, None, id="power-law-x_min"),
+        pytest.param(lambda: fit_exponential(_SEQ, 0), True, None, id="exponential-x_min"),
+        pytest.param(lambda: spectral_radius(_G, 0.0), True, None, id="spectral-tolerance"),
+        pytest.param(
+            lambda: bridged_triangles(0), True, None, id="bridged-triangles-count"
+        ),
+        pytest.param(lambda: hierarchical_graph(0), True, None, id="hierarchical-levels"),
+        pytest.param(
+            lambda: permutation_core_graph(5, 4, 1), True, None, id="core-m-below-n"
+        ),
+        pytest.param(
+            lambda: permutation_core_graph(3, 7, 1), True, None, id="core-m-above-max"
+        ),
         pytest.param(
             lambda: compare_baseline(
                 analyze_graph(_G, AnalysisConfig(metrics=("degree",)), "g")[0],
@@ -396,14 +412,88 @@ _SEQ = degree_sequence(_G, "total")
                 2,
             ),
             False,
+            None,
             id="baseline-spec-mismatch",
+        ),
+        # each case below used to pass, or to raise something other than
+        # an InputError, or (a bare metric string) to be split into letters
+        pytest.param(
+            lambda: AnalysisConfig(d_max=2.5), True, "2.5 is not", id="config-d_max"
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(seed=True), True, "True is not", id="config-seed"
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(tolerance="x"),
+            True,
+            "real number",
+            id="config-tolerance",
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(metrics="degree"),
+            True,
+            r"tuple of metric names \('degree', ",
+            id="config-metrics",
+        ),
+        pytest.param(lambda: RandomGraphSpec(GNM, n=2.5), True, "2.5 is not", id="spec-n"),
+        pytest.param(
+            lambda: RandomGraphSpec(GNM, 5, m=True), True, "True is not", id="spec-m"
+        ),
+        pytest.param(
+            lambda: RandomGraphSpec(GNM, 5, seed=1.5), True, "1.5 is not", id="spec-seed"
+        ),
+        pytest.param(
+            lambda: RandomGraphSpec(ERASED_CONFIG, 5, gamma="x"),
+            True,
+            "gamma must be a real number",
+            id="spec-gamma",
+        ),
+        pytest.param(
+            lambda: sample_power_law(2.5, 3, np.random.default_rng(1), x_min=1.5),
+            True,
+            "x_min 1.5 is not",
+            id="sampler-x_min",
+        ),
+        pytest.param(
+            lambda: fit_power_law(_SEQ, x_min=1.5),
+            True,
+            "x_min 1.5 is not",
+            id="power-law-x_min-1.5",
+        ),
+        pytest.param(
+            lambda: clustering_profile(_G, 2.5),
+            True,
+            "d_max 2.5 is not",
+            id="profile-d_max-2.5",
+        ),
+        pytest.param(
+            lambda: compare_baseline(
+                analyze_graph(_G, AnalysisConfig(metrics=("degree",)), "g")[0],
+                RandomGraphSpec(model=GNM, n=_G.n, m=_G.m),
+                2.5,
+            ),
+            True,
+            "replicates 2.5 is not",
+            id="baseline-replicates",
+        ),
+        pytest.param(
+            lambda: threshold_sweep(_G, [0.5], runs_per_ratio=2.5, base_params=_SIS),
+            True,
+            "runs_per_ratio 2.5 is not",
+            id="sweep-runs",
+        ),
+        pytest.param(
+            lambda: spectral_radius(_G, tolerance=math.inf),
+            True,
+            r"tolerance must be in \(0, inf\), got inf",
+            id="spectral-tolerance-inf",
         ),
     ],
 )
 def test_library_bad_values_raise_config_error_only_when_no_graph_can_fix(
-    call, no_graph_can_fix
+    call, no_graph_can_fix, message
 ):
-    with pytest.raises(InputError) as info:
+    with pytest.raises(InputError, match=message) as info:
         call()
     assert isinstance(info.value, ConfigError) == no_graph_can_fix
 
@@ -419,6 +509,30 @@ def test_config_validation_errors(sample_path):
         analyze(_config(sample_path, tolerance=0.0))
     with pytest.raises(ConfigError):
         analyze(_config(sample_path, seed=-5))
+
+
+def test_numpy_scalar_settings_serialize_as_plain_numbers():
+    # numpy integers used to reach the report as they were, and to_json
+    # failed on them ("Object of type int64 is not JSON serializable")
+    def serialized(d_max, seed, tolerance, n, m):
+        config = AnalysisConfig(
+            metrics=("clustering", "clustering_profile", "geodesic", "spectral"),
+            d_max=d_max,
+            seed=seed,
+            tolerance=tolerance,
+        )
+        report, _, _ = analyze_graph(_G, config, "g")
+        report["baseline"] = compare_baseline(
+            report, RandomGraphSpec(GNM, n=n, m=m, seed=seed), 2
+        )
+        return to_json(report)
+
+    plain = serialized(3, 1, 1e-10, _G.n, _G.m)
+    assert '"d_max": 3,' in plain and '"seed": 1,' in plain
+    numpy_text = serialized(
+        np.int64(3), np.int64(1), np.float64(1e-10), np.int32(_G.n), np.int64(_G.m)
+    )
+    assert numpy_text == plain
 
 
 def test_cli_analyze_stdout_and_exit_zero(sample_path, capsys):
