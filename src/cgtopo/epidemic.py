@@ -277,6 +277,7 @@ def sweep_betas(ratios, runs_per_ratio: int, delta: float) -> tuple[float, ...]:
     """The beta of each beta/delta ratio; ConfigError unless the ratios
     are nonempty and ascending, the run count positive and every beta
     in [0, 1]."""
+    delta = _real("delta", delta)
     if not ratios:
         raise ConfigError("ratios must be nonempty")
     if list(ratios) != sorted(ratios):

@@ -25,19 +25,23 @@ from .graph import CallGraph, ConfigError, _integer, to_edge_list
 
 
 def path_graph(n: int) -> CallGraph:
+    n = _integer("n", n, 1)
     return CallGraph.from_id_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> CallGraph:
+    n = _integer("n", n, 1)
     return CallGraph.from_id_pairs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(leaves: int) -> CallGraph:
     """Hub (id 0) calling each leaf."""
+    leaves = _integer("leaves", leaves, 0)
     return CallGraph.from_id_pairs(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def complete_graph(n: int) -> CallGraph:
+    n = _integer("n", n, 1)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     return CallGraph.from_id_pairs(n, pairs)
 

@@ -61,6 +61,7 @@ def sample_power_law(
     if gamma <= 1:
         raise SpecError("power-law sampler requires gamma > 1")
     x_min = _integer("x_min", x_min, 1, SpecError)
+    size = _integer("size", size, 0, SpecError)
     table = 1_000_000
     support = np.arange(x_min, x_min + table, dtype=np.float64)
     norm = _zeta(gamma, x_min)

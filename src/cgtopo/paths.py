@@ -8,6 +8,7 @@ from math import fsum
 
 import numpy as np
 
+from . import graph
 from .graph import (
     CallGraph,
     InputError,
@@ -22,6 +23,7 @@ from .graph import (
 )
 
 _LEVEL_ARRAYS = 4  # words x nodes arrays alive in a _bitset_bfs level
+_FOLD_ROW = 2  # n-cell rows charged per folded Brandes row (see _brandes_blocks)
 
 
 def _bitset_bfs(indptr, indices, sources, banned=None, depth_cap=None):
@@ -165,37 +167,107 @@ def betweenness(g: CallGraph) -> BetweennessResult:
 
     Brandes (2001) over a block of sources at once: a forward BFS per
     level builds the geodesic DAG and its path counts, then path shares
-    are accumulated walking the DAG levels in reverse.
+    are accumulated walking the DAG levels in reverse.  A source on a
+    chain of out-degree-1 nodes is folded onto the chain's end, its
+    root (see ``_fold_plan``), and shares the root's forward pass.
     """
-    n = g.n
-    scores = np.zeros(n)
+    scores = np.zeros(g.n)
+    plan, spans = _brandes_blocks(g)
     # the blocks are added in span order, so the sum is the same bits
     # whichever worker computed each block
-    blocks = _batches(np.full(n, max(n, g.indices.size)))
-    for block in _pmap(_brandes_block, g.csr, blocks):
+    for block in _pmap(_brandes_block, (*g.csr, plan), spans):
         scores += block
     return BetweennessResult(values=tuple(scores.tolist()))
 
 
-def _brandes_block(indptr, indices, span) -> np.ndarray:
-    """Summed dependencies of sources ``span = (start, stop)`` on every
-    node, as an n-vector.
+def _brandes_blocks(g: CallGraph) -> tuple[tuple, list[tuple[int, int]]]:
+    """The fold plan of g (see ``_fold_plan``) and its Brandes blocks, as
+    spans over the plan's roots.  A root is charged its forward pass,
+    max(n, m) cells, and each row folded onto it ``_FOLD_ROW`` n cells:
+    its dependency row, which lives as long as the block, and as much
+    again for the fold's transients."""
+    plan = _fold_plan(*g.csr)
+    cost = max(g.n, g.indices.size) + _FOLD_ROW * g.n * np.diff(plan[1])
+    return plan, list(_batches(cost))
 
-    Cells are flat int32 codes b*n + v for block row b (source
-    ``sources[b]``) and node v: each source is charged n cells or more,
-    so a block's b*n is at most ``max(n, _BATCH_CELLS)``, below 2**31.
-    Path counts sigma are float64: exact below 2**53, and they round
-    instead of wrapping above it; being integer sums there, they do not
-    depend on the frontier order.  Each level keeps its DAG arcs only,
-    as int32 (parent cell, child cell) pairs; both passes add each
-    cell's terms in arc order.
+
+def _fold_plan(indptr, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(roots, fold_ptr, folds)``: the Brandes sources that run a forward
+    pass, in id order, and the sources folded onto each, root i's being
+    ``folds[fold_ptr[i]:fold_ptr[i + 1]]`` in id order.
+
+    A node of out-degree 1 starts a chain s -> c1 -> ... -> r that ends
+    at the first node r of out-degree other than 1, found by pointer
+    doubling, and is folded onto r: every shortest path from s runs down
+    the chain to r, so s's row follows from r's DAG (see
+    ``_fold_rows``).  A chain that runs into a cycle of out-degree-1
+    nodes has no end and its nodes stay roots.  A root keeps no more
+    folds than fit one batch beside it; the rest stay roots too.  A node
+    with no out-arc and nothing folded onto it has an all-zero row and
+    is not a source at all.
     """
     n = len(indptr) - 1
     degree = np.diff(indptr)
-    sources = np.arange(*span, dtype=np.int32)
+    single = degree == 1
+    jump = np.arange(n)
+    jump[single] = indices.take(indptr[:-1][single])
+    # after k rounds jump[v] is 2**k steps down v's chain, or its end
+    for _ in range(n.bit_length()):
+        ahead = jump.take(jump)
+        if np.array_equal(ahead, jump):
+            break
+        jump = ahead
+    chained = np.flatnonzero(single & ~single.take(jump))
+    # grouped by root, in id order within a group; a group keeps its
+    # first ``cap`` sources
+    chained = chained[np.argsort(jump.take(chained), kind="stable")]
+    counts = np.bincount(jump.take(chained), minlength=n)
+    rank = np.arange(chained.size) - (np.cumsum(counts) - counts).take(jump.take(chained))
+    cap = max(0, graph._BATCH_CELLS - max(n, indices.size)) // (_FOLD_ROW * n)
+    folds = chained[rank < cap].astype(np.int32)
+    counts = np.bincount(jump.take(folds), minlength=n)
+    folded = np.zeros(n, dtype=bool)
+    folded[folds] = True
+    roots = np.flatnonzero(~folded & ((degree > 0) | (counts > 0))).astype(np.int32)
+    fold_ptr = np.concatenate(([0], np.cumsum(counts.take(roots))))
+    return roots, fold_ptr, folds
+
+
+def _brandes_block(indptr, indices, plan, span) -> np.ndarray:
+    """Summed dependencies of the rows of ``_brandes_rows``, root rows
+    first, as an n-vector."""
+    return _brandes_rows(indptr, indices, plan, span).sum(axis=0)
+
+
+def _brandes_rows(indptr, indices, plan, span) -> np.ndarray:
+    """The dependency rows of roots ``span = (start, stop)`` of the fold
+    plan ``plan`` (see ``_fold_plan``), then of the sources folded onto
+    them, in plan order, as a rows x n array.
+
+    Cells are flat int32 codes b*n + v for root row b (source
+    ``sources[b]``) and node v: each root and folded row is charged n
+    cells or more, so a block's cells stay below ``max(n,
+    _BATCH_CELLS)``, below 2**31.  Path counts sigma are float64: exact
+    below 2**53, and they round instead of wrapping above it; being
+    integer sums there, they do not depend on the frontier order.  Each
+    level keeps its DAG arcs only, as int32 (parent cell, child cell)
+    pairs; both passes add each cell's terms in arc order.
+    """
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    start, stop = span
+    sources, fold_ptr, folds = plan
+    sources = sources[start:stop]
+    first = fold_ptr[start:stop]
+    rows, at = _ranges(first, fold_ptr[start + 1 : stop + 1] - first)
+    folds = folds.take(at)
+    cells = len(sources) * n
     roots = np.arange(len(sources), dtype=np.int32) * n + sources
-    seen = np.zeros(len(sources) * n, dtype=bool)
-    sigma = np.zeros(seen.size)
+    # the dependency rows, root rows then folded rows, are allocated with
+    # the path counts, before any level's transients
+    delta = np.zeros(cells + len(folds) * n)
+    seen = np.zeros(cells, dtype=bool)
+    sigma = np.zeros(cells)
     seen[roots] = True
     sigma[roots] = 1.0
     # gathers go through take: indexing by an int32 array copies it to
@@ -214,11 +286,82 @@ def _brandes_block(indptr, indices, span) -> np.ndarray:
         np.add.at(sigma, child, sigma.take(up))
         levels.append((up, child))
         front = _unique(child)
-    delta = np.zeros(seen.size)
+    del seen
     for up, child in reversed(levels):
         np.add.at(delta, up, sigma.take(up) * ((1.0 + delta.take(child)) / sigma.take(child)))
+    if len(folds):
+        _fold_rows(indptr, indices, levels, sigma, delta, sources, rows, folds)
     delta[roots] = 0.0
-    return delta.reshape(-1, n).sum(axis=0)
+    return delta.reshape(-1, n)
+
+
+def _fold_rows(indptr, indices, levels, sigma, delta, sources, rows, folds) -> None:
+    """Fill folded row f of ``delta`` (cells after the root rows) with the
+    dependencies of source ``folds[f]``, folded onto root row ``rows[f]``
+    whose DAG is ``levels`` and ``sigma``.
+
+    Every shortest path from s = folds[f] runs down its chain s -> c1 ->
+    ... -> r to the root r, and a shortest path from r to a node off the
+    chain avoids it, since a chain node leads only down the chain.  So
+    r's path counts serve s, and s's row is r's row, taken before r's
+    own cell is zeroed, with the chain cells {s, c1, ...} dropped: only
+    their DAG ancestors change.  A bool mark of root cells collects the
+    chain cells of the root's folded rows and, level by level, deepest
+    first, their parents, which every folded row of the root recomputes
+    from its arcs in arc order, as the backward pass adds them.  A
+    parent no chain cell of that row lies below gets its old bits back,
+    and a dropped cell holds -1, so it adds (1 + -1) / sigma = +0.0 to
+    its parent: the row has the bits of a forward pass from s.  Then
+    each chain node c depends on everything below it, 1 + delta(next),
+    and s on nothing.
+    """
+    n = len(indptr) - 1
+    cells, count = len(sources) * n, len(folds)
+    # each root row's folded rows are consecutive
+    many = np.bincount(rows, minlength=len(sources))
+    after = np.cumsum(many) - many
+    # from a root cell to the cell of the same node in folded row f
+    shift = (len(sources) + np.arange(count) - rows) * n
+    folded = delta[cells:].reshape(count, n)
+    np.take(delta[:cells].reshape(-1, n), rows, axis=0, out=folded, mode="clip")
+    # the chain of each folded row, one step at a time: step i holds the
+    # rows whose chain is longer than i, and their node c_i
+    steps = []
+    row, node = np.arange(count), folds
+    while row.size:
+        steps.append((row, node))
+        node = indices.take(indptr.take(node))
+        more = node != sources.take(rows.take(row))
+        row, node = row[more], node[more]
+    row = np.concatenate([row for row, _ in steps])
+    chain = np.concatenate([node for _, node in steps]) + rows.take(row) * n
+    hit = np.zeros(cells, dtype=bool)
+    hit[chain] = True
+    chain += shift.take(row)
+    delta[chain] = -1.0
+    for up, child in reversed(levels):
+        arc = np.flatnonzero(hit.take(child))
+        if not arc.size:
+            continue
+        # a cell is a parent on its own level only, so the marked parents
+        # pick out every arc to recompute; a chain cell among them is
+        # recomputed too, and reset below
+        hit[up.take(arc)] = True
+        at = np.flatnonzero(hit.take(up))
+        row = up.take(at) // n
+        which, row = _ranges(after.take(row), many.take(row))
+        at, move = at.take(which), shift.take(row)
+        parent, below = up.take(at), child.take(at)
+        terms = sigma.take(parent) * ((1.0 + delta.take(below + move)) / sigma.take(below))
+        parent += move
+        delta[parent] = 0.0
+        np.add.at(delta, parent, terms)
+        delta[chain] = -1.0
+    del hit
+    for row, node in reversed(steps[1:]):
+        base = (len(sources) + row) * n
+        delta[base + node] = 1.0 + delta.take(base + indices.take(indptr.take(node)))
+    delta[(len(sources) + np.arange(count)) * n + folds] = 0.0
 
 
 def betweenness_distribution(res: BetweennessResult) -> BetweennessDistribution:

@@ -14,7 +14,9 @@ by absolute path, so that directory prefix is stripped before
 comparing.  Every summary column is filled for the first two fixtures,
 so a moved key shows as a changed byte, not as an empty cell.
 gnm-2000 is the one fixture whose betweenness runs many Brandes blocks
-(31 of 65 sources), so it pins the order in which the blocks are summed.
+(29 of up to 64 roots, with 157 sources folded onto them), so it pins
+the order in which rows are summed: a block adds its root rows, then
+the rows folded onto them, and the blocks are added in span order.
 
 The goldens were made with Python 3.11 and numpy 2.4 on x86-64.
 lambda1 comes from a Lanczos solver whose dot products, norms and

@@ -40,15 +40,20 @@ def _bound(g) -> int:
     return 3 * graph._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
 
 
-def _first_block(g) -> tuple[int, int]:
-    return next(graph._batches(np.full(g.n, max(g.n, g.indices.size))))
+def _most_folded_block(g):
+    """The fold plan of g and the span of its Brandes block that holds
+    the most folded rows, the first of them on a tie."""
+    plan, spans = paths._brandes_blocks(g)
+    fold_ptr = plan[1]
+    return plan, max(spans, key=lambda span: fold_ptr[span[1]] - fold_ptr[span[0]])
 
 
 # each batching function, by module and name, with the call whose traced
-# peak on a graph g bounds it: betweenness by its first block of sources
+# peak on a graph g bounds it: betweenness by its block of sources that
+# holds the most folded rows
 KERNELS = {
     "paths.harmonic_geodesic_mean": lambda g: (paths.harmonic_geodesic_mean, g),
-    "paths.betweenness": lambda g: (paths._brandes_block, *g.csr, _first_block(g)),
+    "paths._brandes_blocks": lambda g: (paths._brandes_block, *g.csr, *_most_folded_block(g)),
     "topology._pair_classes": lambda g: (topology._pair_classes, g.undirected, 6),
     "topology._triangles": lambda g: (topology._triangles, g.undirected),
 }
@@ -145,7 +150,7 @@ def test_brandes_block_of_a_heavy_tailed_graph_within_two_budgets(powerlaw_2000)
     # two budgets plus 32 B per stored arc, 8.2 MiB here: each level
     # keeps only its DAG arcs, as int32 (parent cell, child cell) pairs
     g = powerlaw_2000
-    fn, *args = KERNELS["paths.betweenness"](g)
+    fn, *args = KERNELS["paths._brandes_blocks"](g)
     bound = 2 * graph._BATCH_CELLS * 8 + 32 * g.undirected.indices.size
     assert _peak(fn, *args) <= bound
 

@@ -458,7 +458,8 @@ def test_betweenness_matches_networkx_at_scale(spec):
 
 
 def test_betweenness_identities_on_demo_gnm_2000():
-    # the demo gnm-2000 fixture: 31 Brandes blocks
+    # the demo gnm-2000 fixture: 29 Brandes blocks, with 157 sources
+    # folded onto their roots
     g = generate_random(RandomGraphSpec(model=GNM, n=2000, m=8000, seed=8))
     got = betweenness(g).values
     # pair sum: every geodesic s -> t at distance d has d - 1 interior
@@ -480,7 +481,7 @@ def test_betweenness_identities_on_demo_gnm_2000():
 @pytest.mark.kernel_scale
 def test_betweenness_identities_on_linux_sim(corpus_dir):
     # the identities of the gnm-2000 test above, on the largest WCC of
-    # the kernel-scale demo graph: 2,881 Brandes blocks per run
+    # the kernel-scale demo graph: 2,853 Brandes blocks per run
     g = largest_wcc(load_graph(corpus_dir / "linux-2.6.12-rc2-sim.edges", "edgelist"))
     assert (g.n, g.m) == (20_165, 70_010)
     got = betweenness(g).values
@@ -496,6 +497,138 @@ def test_betweenness_identities_on_linux_sim(corpus_dir):
     assert min(got) > 0
     for a, b in zip(got, back.values):
         assert math.isclose(a, b, rel_tol=1e-12)
+
+
+def _unfolded(n):
+    """A fold plan that folds nothing: every node is a root."""
+    return np.arange(n, dtype=np.int32), np.zeros(n + 1, dtype=np.int64), np.zeros(0, np.int32)
+
+
+def _direct_row(g, s):
+    """Source s's dependency row from a forward pass of its own."""
+    return paths._brandes_rows(*g.csr, _unfolded(g.n), (s, s + 1))[0]
+
+
+def _folded_rows(g, spans=None):
+    """{folded source: its row as its block computes it}, over the blocks
+    betweenness runs, or those of ``spans``."""
+    plan, blocks = paths._brandes_blocks(g)
+    fold_ptr, folds = plan[1:]
+    found = {}
+    for start, stop in blocks if spans is None else spans:
+        rows = paths._brandes_rows(*g.csr, plan, (start, stop))
+        for f, s in enumerate(folds[fold_ptr[start] : fold_ptr[stop]].tolist()):
+            found[s] = rows[stop - start + f]
+    return found
+
+
+def _fold_mismatches(g, spans=None) -> list[int]:
+    """The folded sources whose row differs in any bit from a direct run."""
+    rows = _folded_rows(g, spans)
+    return [s for s, row in rows.items() if not np.array_equal(row, _direct_row(g, s))]
+
+
+def _networkx_betweenness(g):
+    nx = pytest.importorskip("networkx")
+    dg = nx.DiGraph()
+    dg.add_nodes_from(range(g.n))
+    dg.add_edges_from(g.edges())
+    want = nx.betweenness_centrality(dg, normalized=False, endpoints=False)
+    return [want[v] for v in range(g.n)]
+
+
+def _hub_with_folds(count):
+    """Hub r (id 0) calls x and y; each of ``count`` sources calls r only,
+    and x or y calls it back, so each lies in r's DAG at depth 2."""
+    x, y = count + 1, count + 2
+    arcs = [(0, x), (0, y)]
+    for s in range(1, count + 1):
+        arcs += [(s, 0), (x if s % 2 else y, s)]
+    return CallGraph.from_id_pairs(count + 3, arcs)
+
+
+@pytest.mark.parametrize(
+    "g, plan",
+    [
+        # a chain s -> c -> r, where r reaches c through x; y is a sink
+        # with nothing folded onto it, whose all-zero row is skipped
+        (load_edge_list("s c\nc r\nr x\nr y\nx y\nx c\n"), ([2, 3], [0, 2, 2], [0, 1])),
+        # a chain that ends in a sink
+        (load_edge_list("s c\nc t\n"), ([2], [0, 2], [0, 1])),
+        # a 2-cycle of out-degree-1 nodes, and u that runs into it
+        (load_edge_list("s t\nt s\nu s\n"), ([0, 1, 2], [0, 0, 0, 0], [])),
+        # s and b fold onto r, which reaches s through a and b: their
+        # rows drop cells of r's DAG and recompute a, b and r
+        (
+            load_edge_list("r a\nr b\na s\na c\nb s\ns r\nc s\nc r\n"),
+            ([0, 1, 4], [0, 2, 2, 2], [2, 3]),
+        ),
+        # thirty sources fold onto one hub, which reaches each of them
+        (_hub_with_folds(30), ([0, 31, 32], [0, 30, 30, 30], list(range(1, 31)))),
+    ],
+    ids=["chain", "sink", "two-cycle", "source-in-root-dag", "hub-30"],
+)
+def test_fold_hand_cases(g, plan):
+    roots, fold_ptr, folds = paths._fold_plan(*g.csr)
+    assert (roots.tolist(), fold_ptr.tolist(), folds.tolist()) == plan
+    assert _fold_mismatches(g) == []
+    assert sorted(_folded_rows(g)) == plan[2]
+    got = betweenness(g).values
+    for a, b in zip(got, _brute_betweenness(g)):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_fold_chain_values():
+    # s -> c -> t: c carries s's paths to t; t's row, all zero, is skipped
+    assert betweenness(load_edge_list("s c\nc t\n")).values == (0.0, 1.0, 0.0)
+    # a hub that reaches each of its folded sources through x or y
+    g = _hub_with_folds(30)
+    got, want = betweenness(g).values, _networkx_betweenness(g)
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
+    assert got[0] > 0 and got[31] > 0
+
+
+@st.composite
+def _chained(draw):
+    """A digraph where most nodes call exactly one other, so that chains of
+    out-degree-1 nodes end at hubs, at sinks or in cycles; and a batch
+    budget from one root per block up to several roots and their folds."""
+    n = draw(st.integers(2, 40))
+    arcs = []
+    for u in range(n):
+        calls = draw(st.sampled_from((0, 1, 1, 1, 1, 2, 3)))
+        arcs += [(u, draw(st.integers(0, n - 1))) for _ in range(calls)]
+    g = CallGraph.from_id_pairs(n, arcs)
+    return g, draw(st.integers(1, 8)) * max(g.n, g.indices.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chained())
+def test_folded_rows_match_direct_runs(case):
+    g, cells = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_BATCH_CELLS", cells)
+        assert _fold_mismatches(g) == []
+        got = betweenness(g).values
+    for a, b in zip(got, _networkx_betweenness(g)):
+        assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+
+
+@pytest.mark.kernel_scale
+def test_folded_rows_on_linux_sim(corpus_dir):
+    # 50 sampled folded sources of the kernel-scale demo graph, each in
+    # the block betweenness runs it in, against a forward pass of its own
+    g = largest_wcc(load_graph(corpus_dir / "linux-2.6.12-rc2-sim.edges", "edgelist"))
+    plan, spans = paths._brandes_blocks(g)
+    fold_ptr, folds = plan[1:]
+    assert folds.size > 1000
+    picked = np.random.default_rng(7).choice(folds.size, 50, replace=False)
+    ends = np.array([stop for _, stop in spans])
+    blocks = {spans[i] for i in np.searchsorted(fold_ptr.take(ends), picked, "right").tolist()}
+    rows = _folded_rows(g, sorted(blocks))
+    sample = folds.take(picked).tolist()
+    assert set(sample) <= set(rows)
+    assert [s for s in sample if not np.array_equal(rows[s], _direct_row(g, s))] == []
 
 
 @st.composite

@@ -61,7 +61,7 @@ def test_pmap_joins_every_worker_when_one_raises_or_the_reader_stops(monkeypatch
 
 
 def test_kernels_identical_at_any_worker_count(monkeypatch):
-    # the demo gnm-2000 fixture: 31 Brandes blocks at the default batch
+    # the demo gnm-2000 fixture: 29 Brandes blocks at the default batch
     g = generate_random(RandomGraphSpec(model=GNM, n=2000, m=8000, seed=8))
     sweep_graph = generate_random(RandomGraphSpec(model=GNM, n=300, m=900, seed=4))
     base = SisParams(beta=0.0, delta=0.5, initial_infected=3, max_steps=40, seed=9)

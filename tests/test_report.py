@@ -37,10 +37,15 @@ from cgtopo import (
 from cgtopo.cli import main
 from cgtopo.corpus import load_entry
 from cgtopo import fixtures, graph, report
+from cgtopo.epidemic import sweep_betas
 from cgtopo.fixtures import (
     bridged_triangles,
+    complete_graph,
+    cycle_graph,
     hierarchical_graph,
+    path_graph,
     permutation_core_graph,
+    star_graph,
     to_edge_list,
     write_demo_corpus,
 )
@@ -487,6 +492,34 @@ _SIS = SisParams(beta=0.5, delta=0.5, initial_infected=1, max_steps=5, seed=1)
             True,
             r"tolerance must be in \(0, inf\), got inf",
             id="spectral-tolerance-inf",
+        ),
+        pytest.param(
+            lambda: sweep_betas([0.5], 5, "x"),
+            True,
+            "delta must be a real number, got 'x'",
+            id="sweep-delta-str",
+        ),
+        pytest.param(
+            lambda: sweep_betas([0.5], 5, True),
+            True,
+            "delta must be a real number, got True",
+            id="sweep-delta-bool",
+        ),
+        pytest.param(lambda: path_graph(True), True, "n True is not", id="path-n-bool"),
+        pytest.param(lambda: path_graph(0), True, "n must be >= 1", id="path-n-0"),
+        pytest.param(lambda: cycle_graph(0), True, "n must be >= 1", id="cycle-n-0"),
+        pytest.param(
+            lambda: complete_graph(-1), True, "n must be >= 1", id="complete-n-negative"
+        ),
+        pytest.param(lambda: star_graph(2.5), True, "leaves 2.5 is not", id="star-leaves"),
+        pytest.param(
+            lambda: star_graph(-1), True, "leaves must be >= 0", id="star-leaves-negative"
+        ),
+        pytest.param(
+            lambda: sample_power_law(2.5, -1, np.random.default_rng(1)),
+            True,
+            "size must be >= 0",
+            id="sampler-size",
         ),
     ],
 )
