@@ -278,9 +278,10 @@ def sweep_betas(ratios, runs_per_ratio: int, delta: float) -> tuple[float, ...]:
     are nonempty and ascending, the run count positive and every beta
     in [0, 1]."""
     delta = _real("delta", delta)
+    ratios = [_real("ratio", ratio) for ratio in ratios]
     if not ratios:
         raise ConfigError("ratios must be nonempty")
-    if list(ratios) != sorted(ratios):
+    if ratios != sorted(ratios):
         raise ConfigError("ratios must be sorted ascending")
     _integer("runs_per_ratio", runs_per_ratio, 1)
     betas = tuple(ratio * delta for ratio in ratios)

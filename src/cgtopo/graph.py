@@ -60,6 +60,13 @@ def _real(name: str, value, error=ConfigError) -> float:
     return float(value)
 
 
+def _flag(name: str, value) -> bool:
+    """``value`` as a Python bool; ConfigError unless it is a bool (numpy's too)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True, eq=False)
 class CallGraph:
     """Immutable simple graph with dense integer node ids, stored as CSR.
@@ -168,7 +175,8 @@ class CallGraph:
         """Sparse 0/1 adjacency (a scipy ``csr_matrix`` over the ``csr``
         arrays); row u marks the stored arcs u -> v.  Only the benchmark
         tracer still reads it; no command or other helper does, so no
-        command imports scipy."""
+        command imports scipy.  Needs the ``test`` extra; goes with the
+        benchmark refresh."""
         import scipy.sparse as sp
 
         data = np.ones(len(self.indices), dtype=np.float64)
@@ -508,8 +516,9 @@ def load_dot_subset(source: bytes | str) -> CallGraph:
     close = text.rfind("}")
     if close < header.end():
         raise ParseError("missing closing '}'", _line_of(text, len(text)))
-    if text[close + 1 :].strip():
-        raise ParseError("content after closing '}'", _line_of(text, close + 1))
+    stray = re.compile(r"\S").search(text, close + 1)
+    if stray:
+        raise ParseError("content after closing '}'", _line_of(text, stray.start()))
     return _from_tokens(map(_dot_names, _line_runs(text, header.end(), close)))
 
 

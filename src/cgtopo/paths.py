@@ -127,6 +127,7 @@ def harmonic_geodesic_mean(g: CallGraph, directed: bool = False) -> GeodesicSumm
     Normalization is over the n(n-1) ordered pairs.  Distances follow
     the symmetrized view unless ``directed`` is set.
     """
+    directed = graph._flag("directed", directed)
     if g.n < 2:
         raise InputError("geodesic mean needs n >= 2")
     # the BFS reads rows pull-wise: row v lists the nodes one step before v

@@ -26,8 +26,8 @@ from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, generate_random
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _integer, _pmap, _real, _sub_seed,
-    largest_wcc, load_graph,
+    CallGraph, CallGraphError, ConfigError, InputError, _flag, _integer, _pmap, _real,
+    _sub_seed, largest_wcc, load_graph,
 )
 
 VERSION = "0.1.0"
@@ -120,6 +120,9 @@ class AnalysisConfig:
             raise ConfigError(f"--tolerance must be in (0, inf), got {tolerance}")
         object.__setattr__(self, "tolerance", tolerance)
         object.__setattr__(self, "seed", _integer("--seed", self.seed, 0))
+        object.__setattr__(self, "strict", _flag("strict", self.strict))
+        flag = _flag("directed_geodesics", self.directed_geodesics)
+        object.__setattr__(self, "directed_geodesics", flag)
 
 
 def _section(node):

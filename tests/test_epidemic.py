@@ -232,6 +232,12 @@ def test_param_errors_no_graph_can_fix_are_config_errors():
             sweep_betas(*args)
 
 
+def test_sweep_betas_are_python_floats():
+    # a numpy ratio used to give a numpy beta
+    betas = sweep_betas([np.float32(0.5)], 5, 0.5)
+    assert betas == (0.25,) and type(betas[0]) is float
+
+
 _GOOD = SisParams(beta=0.5, delta=0.5, initial_infected=(0,), max_steps=5, seed=1)
 
 

@@ -171,6 +171,25 @@ def test_dot_missing_header_rejected():
         load_dot_subset("a -> b;\n")
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        # the stray text's own line, not the brace's
+        ("digraph g { a -> b }\n x", 2, "content after closing '}'"),
+        ("digraph g {\n a -> b;\n}\r\n\r\n  c -> d;\n", 5, "content after closing '}'"),
+        ("digraph g { a -> b }x", 1, "content after closing '}'"),
+        # the end of the text
+        ("digraph g {\n a -> b;\n", 3, "missing closing '}'"),
+        ("digraph g {", 1, "missing closing '}'"),
+    ],
+)
+def test_dot_block_end_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        load_dot_subset(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_round_trip_preserves_ids_and_text():
     text = "a b\nc d\na d\n"
     g = load_edge_list(text)

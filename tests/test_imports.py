@@ -1,17 +1,20 @@
 """What each entry point imports, checked in a fresh interpreter.
 
-No command imports scipy: the degree fit runs its own ports of scipy's
-Hurwitz zeta and bounded Brent minimizer, components and biconnected
-blocks come from one depth-first search, and lambda1 from a numpy
-Lanczos solver.  One library helper, ``CallGraph.adjacency``, imports
-scipy, and no command calls it; a scan of the source keeps it the only
-one, another keeps ``graph`` the one module that expands CSR rows and
-the one that imports ``numbers`` (the type rule of settings), and a
-third finds every function that batches by ``graph._batches`` among
-the kernels ``tests/test_memory.py`` bounds.  The package's modules import one another without a cycle, also
-inside functions.  Corpus pool workers import nothing their parent did
-not.  ``import cgtopo`` loads numpy with one BLAS thread unless the caller
-chose a count, and leaves the environment as it found it.
+No command needs scipy, a test extra: every command and the fixture
+writer run with ``import scipy`` made to fail and write what an ordinary
+run writes.  The degree fit runs its own ports of scipy's Hurwitz zeta
+and bounded Brent minimizer, components and biconnected blocks come
+from one depth-first search, and lambda1 from a numpy Lanczos solver.
+One library helper, ``CallGraph.adjacency``, imports scipy, and no
+command calls it; a scan of the source keeps it the only one, another
+keeps ``graph`` the one module that expands CSR rows and the one that
+imports ``numbers`` (the type rule of settings), and a third finds
+every function that batches by ``graph._batches`` among the kernels
+``tests/test_memory.py`` bounds.  The package's modules import one
+another without a cycle, also inside functions.  Corpus pool workers
+import nothing their parent did not.  ``import cgtopo`` loads numpy with
+one BLAS thread unless the caller chose a count, and leaves the
+environment as it found it.
 """
 
 import ast
@@ -43,33 +46,6 @@ def _run(script: str, *argv, env=None) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
-
-
-def test_sis_commands_import_no_scipy(tmp_path):
-    graph = tmp_path / "g.edges"
-    graph.write_text(
-        to_edge_list(generate_random(RandomGraphSpec(model=GNM, n=60, m=180, seed=2))),
-        encoding="utf-8",
-    )
-    out = _run(
-        """
-        import json, sys
-        from cgtopo.cli import main
-        path, out = sys.argv[1:]
-        codes = [
-            main(["sweep", path, "--ratios", "0.5,2", "--runs", "3", "--delta", "0.3",
-                  "--steps", "20", "--out", out]),
-            main(["simulate", path, "--beta", "0.4", "--delta", "0.2", "--steps", "20",
-                  "--initial-count", "3", "--out", out]),
-        ]
-        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        print(json.dumps({"codes": codes, "scipy": scipy}))
-        """,
-        graph,
-        tmp_path / "out",
-    )
-    result = json.loads(out.splitlines()[-1])
-    assert result == {"codes": [0, 0], "scipy": []}
 
 
 def _scoped(node, scope=()):
@@ -129,9 +105,9 @@ def test_only_graph_expands_csr_rows():
 
 
 def test_only_graph_imports_numbers():
-    # graph._integer and graph._real hold the one type rule of integer
-    # and real settings; a second isinstance(value, Integral) elsewhere
-    # would be a second rule
+    # graph._integer, graph._real and graph._flag hold the one type rule
+    # of settings; a second isinstance(value, Integral) elsewhere would be
+    # a second rule
     package = Path(cgtopo.__file__).resolve().parent
     found = {
         path.name
@@ -238,28 +214,55 @@ def _write_corpus(dest: Path) -> Path:
     return manifest
 
 
-def test_analysis_commands_import_no_scipy_optimize(tmp_path):
+_COMMANDS = """
+    import json, runpy, sys
+    blocked, manifest, graph, out = sys.argv[1:]
+    if blocked == "1":
+        sys.modules["scipy"] = None  # every import of scipy now fails
+    from cgtopo.cli import main
+    codes = [
+        main(["analyze", graph, "--metrics", "all", "--output", "csv", "--out", out + "/a"]),
+        main(["corpus", manifest, "--jobs", "1", "--out", out + "/c1"]),
+        main(["corpus", manifest, "--jobs", "2", "--out", out + "/c2"]),
+        main(["baseline", graph, "--replicates", "3", "--out", out + "/b"]),
+        main(["baseline", graph, "--replicates", "3", "--model", "erased_configuration",
+              "--gamma", "2.5", "--out", out + "/be"]),
+        main(["simulate", graph, "--beta", "0.4", "--delta", "0.2", "--steps", "20",
+              "--initial-count", "3", "--out", out + "/s"]),
+        main(["sweep", graph, "--ratios", "0.5,2", "--runs", "3", "--delta", "0.3",
+              "--steps", "20", "--out", out + "/w"]),
+    ]
+    # python -m cgtopo.fixtures
+    sys.argv = ["fixtures", out + "/f", "--seed", "3"]
+    try:
+        runpy.run_module("cgtopo.fixtures", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes.append(exc.code)
+    print(json.dumps(codes))
+"""
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test extra: every command, and the fixture writer, runs
+    # with it unimportable and writes what an ordinary run writes
     manifest = _write_corpus(tmp_path)
-    out = _run(
-        """
-        import json, sys
-        from cgtopo.cli import main
-        manifest, graph, out = sys.argv[1:]
-        codes = [
-            main(["analyze", graph, "--metrics", "all", "--out", out + "/a"]),
-            main(["corpus", manifest, "--jobs", "1", "--out", out + "/c1"]),
-            main(["corpus", manifest, "--jobs", "2", "--out", out + "/c2"]),
-            main(["baseline", graph, "--replicates", "3", "--out", out + "/b"]),
-        ]
-        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        print(json.dumps({"codes": codes, "scipy": scipy}))
-        """,
-        manifest,
-        tmp_path / "erased.edges",
-        tmp_path / "out",
-    )
-    result = json.loads(out.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+    graph = tmp_path / "erased.edges"
+    outputs = {}
+    for blocked in ("0", "1"):
+        out = tmp_path / f"out{blocked}"
+        codes = json.loads(_run(_COMMANDS, blocked, manifest, graph, out).splitlines()[-1])
+        assert codes == [0] * 8
+        outputs[blocked] = _files(out)
+    assert len(outputs["0"]) > 20
+    assert outputs["1"] == outputs["0"]
 
 
 def test_corpus_workers_import_nothing_new(tmp_path):

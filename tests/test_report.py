@@ -11,6 +11,7 @@ from cgtopo import (
     AnalysisConfig,
     CallGraph,
     ConfigError,
+    DegreeSequence,
     InputError,
     ParseError,
     RandomGraphSpec,
@@ -24,11 +25,16 @@ from cgtopo import (
     clustering_profile,
     compare_baseline,
     degree_sequence,
+    degree_summary,
+    empirical_ccdf,
     fit_exponential,
     fit_power_law,
+    harmonic_geodesic_mean,
+    lambda_vs_size,
     load_edge_list,
     parse_manifest,
     read_manifest,
+    reciprocity,
     sample_power_law,
     spectral_radius,
     threshold_sweep,
@@ -200,8 +206,12 @@ def test_csv_bundle_files_and_headers(tmp_path, sample_path):
 
 
 def test_manifest_parsing_four_and_six_fields(tmp_path):
-    text = "lab1\tC\tkernel\ta.edges\nlab2\tC++\tbrowser\tb.edges\t10\t20\n"
+    text = (
+        "# label language domain path [N M]\n"
+        "lab1\tC\tkernel\ta.edges\n\n  \t\nlab2\tC++\tbrowser\tb.edges\t10\t20\n"
+    )
     entries = parse_manifest(text, base_dir=str(tmp_path))
+    assert [e.label for e in entries] == ["lab1", "lab2"]
     assert entries[0].expected_n is None
     assert entries[1].expected_n == 10 and entries[1].expected_m == 20
     assert entries[1].path.endswith("b.edges")
@@ -212,6 +222,22 @@ def test_manifest_rejects_wrong_field_count():
         parse_manifest("lab\tC\tkernel\n")
     with pytest.raises(ParseError):
         parse_manifest("lab\tC\tkernel\ta.edges\t10\n")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (" \tC\tx\ta.edges", "empty label"),
+        ("a\tC\tx\ta.edges\tten\t2", "expected integer N M, got 'ten' '2'"),
+        ("a\tC\tx\ta.edges\t1.5\t2", "expected integer N M, got '1.5' '2'"),
+    ],
+)
+def test_manifest_rejects_bad_records_at_their_line(record, message):
+    # a comment and a blank line come first: the fault is on line 4
+    text = f"# corpus\nok\tC\tx\tok.edges\n\n{record}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_manifest(text)
+    assert str(exc.value) == f"line 4: {message}"
 
 
 def test_manifest_count_validation(tmp_path):
@@ -282,15 +308,18 @@ def test_corpus_partial_failure_recorded(tmp_path):
 
 
 def test_corpus_strict_mode_propagates(tmp_path):
+    # the clustering profile has no eligible node on a single edge
     g = tmp_path / "g.edges"
     g.write_text("a b\n", encoding="utf-8")
     manifest = tmp_path / "m.tsv"
-    manifest.write_text("g\tC\tx\tg.edges\t9\t9\n", encoding="utf-8")
-    cfg = AnalysisConfig(
-        input_path=str(manifest), metrics=("components",), seed=1, strict=True
-    )
+    manifest.write_text("g\tC\tx\tg.edges\t2\t1\n", encoding="utf-8")
+    metrics = ("components", "clustering_profile")
+    lenient = analyze_corpus(manifest, AnalysisConfig(metrics=metrics, seed=1), jobs=1)
+    assert lenient["failures"] == 0
+    cfg = AnalysisConfig(metrics=metrics, seed=1, strict=True)
     result = analyze_corpus(manifest, cfg, jobs=1)
     assert result["failures"] == 1
+    assert result["entries"][0]["error"] == "metrics failed: clustering_profile"
 
 
 def test_baseline_ratios_near_one_for_matched_model(tmp_path):
@@ -505,6 +534,84 @@ _SIS = SisParams(beta=0.5, delta=0.5, initial_infected=1, max_steps=5, seed=1)
             "delta must be a real number, got True",
             id="sweep-delta-bool",
         ),
+        pytest.param(
+            lambda: sweep_betas(["a"], 5, 0.5),
+            True,
+            "ratio must be a real number, got 'a'",
+            id="sweep-ratio-str",
+        ),
+        pytest.param(
+            lambda: sweep_betas([0.2, None], 5, 0.5),
+            True,
+            "ratio must be a real number, got None",
+            id="sweep-ratio-none",
+        ),
+        pytest.param(
+            lambda: sweep_betas([True], 5, 0.5),
+            True,
+            "ratio must be a real number, got True",
+            id="sweep-ratio-bool",
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(directed_geodesics="no"),
+            True,
+            "directed_geodesics must be a bool, got 'no'",
+            id="config-directed_geodesics-str",
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(directed_geodesics=1),
+            True,
+            "directed_geodesics must be a bool, got 1",
+            id="config-directed_geodesics-int",
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(strict="no"),
+            True,
+            "strict must be a bool, got 'no'",
+            id="config-strict-str",
+        ),
+        pytest.param(
+            lambda: harmonic_geodesic_mean(_G, directed="yes"),
+            True,
+            "directed must be a bool, got 'yes'",
+            id="geodesic-directed-str",
+        ),
+        pytest.param(
+            lambda: AnalysisConfig(metrics=()),
+            True,
+            "metric selection is empty",
+            id="config-metrics-empty",
+        ),
+        pytest.param(
+            lambda: analyze(AnalysisConfig()),
+            True,
+            "no input path configured",
+            id="analyze-no-input-path",
+        ),
+        pytest.param(
+            lambda: reciprocity(_G.undirected),
+            False,
+            "reciprocity requires a directed graph",
+            id="reciprocity-symmetrized",
+        ),
+        pytest.param(
+            lambda: degree_summary(DegreeSequence("in", ())),
+            False,
+            "empty degree sequence",
+            id="degree-summary-empty",
+        ),
+        pytest.param(
+            lambda: empirical_ccdf(DegreeSequence("in", ())),
+            False,
+            "empty degree sequence",
+            id="ccdf-empty",
+        ),
+        pytest.param(
+            lambda: lambda_vs_size([]),
+            False,
+            "no analyzed graphs with a spectral result",
+            id="lambda-vs-size-empty",
+        ),
         pytest.param(lambda: path_graph(True), True, "n True is not", id="path-n-bool"),
         pytest.param(lambda: path_graph(0), True, "n must be >= 1", id="path-n-0"),
         pytest.param(lambda: cycle_graph(0), True, "n must be >= 1", id="cycle-n-0"),
@@ -547,12 +654,14 @@ def test_config_validation_errors(sample_path):
 def test_numpy_scalar_settings_serialize_as_plain_numbers():
     # numpy integers used to reach the report as they were, and to_json
     # failed on them ("Object of type int64 is not JSON serializable")
-    def serialized(d_max, seed, tolerance, n, m):
+    def serialized(d_max, seed, tolerance, n, m, flag):
         config = AnalysisConfig(
             metrics=("clustering", "clustering_profile", "geodesic", "spectral"),
             d_max=d_max,
             seed=seed,
             tolerance=tolerance,
+            directed_geodesics=flag,
+            strict=flag,
         )
         report, _, _ = analyze_graph(_G, config, "g")
         report["baseline"] = compare_baseline(
@@ -560,10 +669,12 @@ def test_numpy_scalar_settings_serialize_as_plain_numbers():
         )
         return to_json(report)
 
-    plain = serialized(3, 1, 1e-10, _G.n, _G.m)
+    plain = serialized(3, 1, 1e-10, _G.n, _G.m, True)
     assert '"d_max": 3,' in plain and '"seed": 1,' in plain
+    assert '"strict": true' in plain and '"directed": true' in plain
     numpy_text = serialized(
-        np.int64(3), np.int64(1), np.float64(1e-10), np.int32(_G.n), np.int64(_G.m)
+        np.int64(3), np.int64(1), np.float64(1e-10), np.int32(_G.n), np.int64(_G.m),
+        np.True_,
     )
     assert numpy_text == plain
 
@@ -739,6 +850,36 @@ def test_cli_sweep_csv(tmp_path, sample_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "ratio,extinction_prob,runs"
     assert len(lines) == 3
+
+
+def test_cli_simulate_csv(tmp_path, sample_path, capsys):
+    argv = ["simulate", str(sample_path), "--beta", "0.3", "--delta", "0.2",
+            "--steps", "30", "--seed", "8"]
+    assert main(argv) == 0
+    steps = json.loads(capsys.readouterr().out)["infected_per_step"]
+    assert main(argv + ["--output", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines() == ["step,infected"] + [
+        f"{step},{count}" for step, count in enumerate(steps)
+    ]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out / 'trace.csv'}\n"
+    assert (out / "trace.csv").read_text(encoding="utf-8") == text
+
+
+def test_fixtures_main_writes_the_demo_corpus(tmp_path, corpus_dir, capsys):
+    # python -m cgtopo.fixtures <dir>: the session corpus has the same seed
+    assert fixtures.main([str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == 8  # six edge lists and two manifests
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (corpus_dir / name).read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    entries = read_manifest(tmp_path / "manifest.tsv")
+    assert lines == [
+        f"{e.label}: n={e.expected_n} m={e.expected_m}" for e in entries
+    ] + [f"manifest: {tmp_path / 'manifest.tsv'}"]
 
 
 def test_cli_simulate_json(sample_path, capsys):
