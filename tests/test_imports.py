@@ -2,7 +2,8 @@
 
 No command needs scipy, a test extra: every command and the fixture
 writer run with ``import scipy`` made to fail and write what an ordinary
-run writes.  The degree fit runs its own ports of scipy's Hurwitz zeta
+run writes, and the analysis and SIS commands leave no scipy module in
+``sys.modules``.  The degree fit runs its own ports of scipy's Hurwitz zeta
 and bounded Brent minimizer, components and biconnected blocks come
 from one depth-first search, and lambda1 from a numpy Lanczos solver.
 One library helper, ``CallGraph.adjacency``, imports scipy, and no
@@ -46,6 +47,33 @@ def _run(script: str, *argv, env=None) -> str:
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_sis_commands_import_no_scipy(tmp_path):
+    graph = tmp_path / "g.edges"
+    graph.write_text(
+        to_edge_list(generate_random(RandomGraphSpec(model=GNM, n=60, m=180, seed=2))),
+        encoding="utf-8",
+    )
+    out = _run(
+        """
+        import json, sys
+        from cgtopo.cli import main
+        path, out = sys.argv[1:]
+        codes = [
+            main(["sweep", path, "--ratios", "0.5,2", "--runs", "3", "--delta", "0.3",
+                  "--steps", "20", "--out", out]),
+            main(["simulate", path, "--beta", "0.4", "--delta", "0.2", "--steps", "20",
+                  "--initial-count", "3", "--out", out]),
+        ]
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """,
+        graph,
+        tmp_path / "out",
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
 
 
 def _scoped(node, scope=()):
@@ -212,6 +240,30 @@ def _write_corpus(dest: Path) -> Path:
     manifest = dest / "manifest.tsv"
     manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return manifest
+
+
+def test_analysis_commands_import_no_scipy_optimize(tmp_path):
+    manifest = _write_corpus(tmp_path)
+    out = _run(
+        """
+        import json, sys
+        from cgtopo.cli import main
+        manifest, graph, out = sys.argv[1:]
+        codes = [
+            main(["analyze", graph, "--metrics", "all", "--out", out + "/a"]),
+            main(["corpus", manifest, "--jobs", "1", "--out", out + "/c1"]),
+            main(["corpus", manifest, "--jobs", "2", "--out", out + "/c2"]),
+            main(["baseline", graph, "--replicates", "3", "--out", out + "/b"]),
+        ]
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": scipy}))
+        """,
+        manifest,
+        tmp_path / "erased.edges",
+        tmp_path / "out",
+    )
+    result = json.loads(out.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 _COMMANDS = """
