@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .epidemic import SisParams, sis_simulate, sweep_betas, threshold_sweep
 from .generators import ERASED_CONFIG, GNM, RandomGraphSpec
-from .graph import CallGraphError, ConfigError, InputError, _integer
+from .graph import CallGraphError, ConfigError, InputError, _INPUT_FORMATS, _integer
 from .report import (
     CORPUS_DEFAULT_METRICS,
     METRICS,
@@ -43,7 +43,7 @@ def _flag_groups() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     analyze, corpus and baseline."""
     io = argparse.ArgumentParser(add_help=False)
     io.add_argument(
-        "--format", choices=("edgelist", "dot"), default="edgelist",
+        "--format", choices=_INPUT_FORMATS, default="edgelist",
         help="input graph format",
     )
     io.add_argument("--seed", type=int, default=0, help="base seed (u64)")

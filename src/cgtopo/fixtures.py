@@ -160,6 +160,7 @@ def write_demo_corpus(dest_dir, seed: int = 7) -> Path:
     the graph (its linked nodes and its edges), so corpus loading checks
     the written text against the graph.
     """
+    seed = _integer("seed", seed, 0)
     dest = Path(dest_dir)
     dest.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -67,6 +67,16 @@ def _flag(name: str, value) -> bool:
     return bool(value)
 
 
+# the input formats every loader, config and command accepts
+_INPUT_FORMATS = ("edgelist", "dot")
+
+
+def _check_format(fmt) -> None:
+    """ConfigError unless ``fmt`` is one of ``_INPUT_FORMATS``."""
+    if fmt not in _INPUT_FORMATS:
+        raise ConfigError(f"unknown input format: {fmt!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CallGraph:
     """Immutable simple graph with dense integer node ids, stored as CSR.
@@ -309,11 +319,12 @@ def _pmap(fn, shared, items, workers=None):
     are forked on the first read, so they see ``shared`` copy-on-write
     and only the items and results are pickled; the caller builds
     whatever ``fn`` reads lazily before that.  cgtopo starts no thread
-    of its own and the pool's handler threads start after the fork, so
-    the fork is safe.  The items run serially when one worker would do,
-    where fork is unavailable and inside a worker, so pools never nest.
-    Every worker is joined before the generator finishes or passes on
-    an error, also when the reader stops early.
+    of its own and the executor forks every worker before it starts its
+    manager thread, so the fork is safe.  The items run serially when
+    one worker would do, where fork is unavailable and inside a worker,
+    so pools never nest.  Every worker is joined before the generator
+    finishes or passes on an error, also when the reader stops early; a
+    worker that dies raises ``BrokenProcessPool``.
     """
     items = list(items)
     workers = min(workers or _cpus(), len(items))
@@ -325,16 +336,12 @@ def _pmap(fn, shared, items, workers=None):
         for item in items:
             yield fn(*shared, item)
         return
-    pool = multiprocessing.get_context("fork").Pool(workers, _pool_start, (fn, shared))
-    try:
-        yield from pool.imap(_pool_call, items)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
+    # imported here, as Pool imports its module: a command that never forks skips it
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, fork, _pool_start, (fn, shared)) as pool:
+        yield from pool.map(_pool_call, items)
 
 
 # the task of this pool worker, set by ``_pmap`` after the fork
@@ -543,8 +550,10 @@ def _dot_names(run) -> list[str]:
 
 
 def load_graph(path, fmt: str) -> CallGraph:
-    """Load a graph file: DOT subset when ``fmt`` is "dot", else edge list.
+    """Load a graph file: DOT subset when ``fmt`` is "dot", edge list
+    when it is "edgelist", ConfigError before the file is opened else.
     The file's bytes are freed once decoded, before the parse."""
+    _check_format(fmt)
     with open(path, "rb") as fh:
         text = _decode(fh.read())
     return load_dot_subset(text) if fmt == "dot" else load_edge_list(text)
@@ -562,6 +571,7 @@ def to_edge_list(g: CallGraph, drop_isolated: bool = False) -> str:
     ``drop_isolated``; a written name that is not one whitespace-free
     token, or that starts a line with ``#`` (a comment), always raises.
     """
+    drop_isolated = _flag("drop_isolated", drop_isolated)
     n = g.n
     # the smallest neighbour of each node, either direction; n if none
     indptr, indices = g.undirected.csr

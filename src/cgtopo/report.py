@@ -26,8 +26,8 @@ from . import epidemic, paths, topology
 from .corpus import CorpusEntry, load_entry, read_manifest
 from .generators import GNM, RandomGraphSpec, generate_random
 from .graph import (
-    CallGraph, CallGraphError, ConfigError, InputError, _flag, _integer, _pmap, _real,
-    _sub_seed, largest_wcc, load_graph,
+    CallGraph, CallGraphError, ConfigError, InputError, _check_format, _flag, _integer,
+    _pmap, _real, _sub_seed, largest_wcc, load_graph,
 )
 
 VERSION = "0.1.0"
@@ -90,7 +90,9 @@ _BASELINE_PATHS = {
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Analysis settings, checked when built: a bad value raises
-    ConfigError before any input is read."""
+    ConfigError before any input is read.  The metric selection is kept
+    in ``METRICS`` order, each name once, so one analysis writes one
+    report however its metrics were listed."""
 
     input_path: str | None = None
     fmt: str = "edgelist"
@@ -111,9 +113,10 @@ class AnalysisConfig:
         unknown = [m for m in self.metrics if m not in METRICS]
         if unknown:
             raise ConfigError(f"unknown metrics: {', '.join(unknown)}")
-        if self.fmt not in ("edgelist", "dot"):
-            raise ConfigError(f"unknown input format: {self.fmt!r}")
+        _check_format(self.fmt)
         # the class is frozen, so the checked values go in by object.__setattr__
+        selected = tuple(m for m in METRICS if m in self.metrics)
+        object.__setattr__(self, "metrics", selected)
         object.__setattr__(self, "d_max", _integer("--d-max", self.d_max, 1))
         tolerance = _real("--tolerance", self.tolerance)
         if not 0 < tolerance < math.inf:
@@ -320,9 +323,11 @@ def analyze_corpus(manifest_path, config: AnalysisConfig, jobs: int = 1) -> dict
     """One report per manifest entry plus a per-program summary table.
 
     Entries run on up to ``jobs`` forked workers, largest input file
-    first, and each worker runs the metric kernels serially; output
-    order always follows the manifest, so parallel and serial runs
-    serialize identically.
+    first.  From two jobs up each worker runs the metric kernels
+    serially; at one job the entries run in this process, one at a
+    time, and each kernel forks its own pool.  Output order always
+    follows the manifest, so parallel and serial runs serialize
+    identically.
     """
     jobs = _integer("jobs", jobs, 1)
     entries = read_manifest(manifest_path)

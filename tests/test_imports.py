@@ -8,8 +8,9 @@ and bounded Brent minimizer, components and biconnected blocks come
 from one depth-first search, and lambda1 from a numpy Lanczos solver.
 One library helper, ``CallGraph.adjacency``, imports scipy, and no
 command calls it; a scan of the source keeps it the only one, another
-keeps ``graph`` the one module that expands CSR rows and the one that
-imports ``numbers`` (the type rule of settings), and a third finds
+keeps ``graph`` the one module that expands CSR rows, the one that
+imports ``numbers`` (the type rule of settings) and the one that imports
+``multiprocessing`` or ``concurrent.futures`` (the pool), and a third finds
 every function that batches by ``graph._batches`` among the kernels
 ``tests/test_memory.py`` bounds.  The package's modules import one
 another without a cycle, also inside functions.  Corpus pool workers
@@ -132,19 +133,34 @@ def test_only_graph_expands_csr_rows():
     }
 
 
+def _importers(*packages) -> set[str]:
+    """The package's modules that import any of ``packages`` or a
+    submodule of one, anywhere in their source."""
+    found = set()
+    for path in Path(cgtopo.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] in packages for module in modules):
+                found.add(path.name)
+    return found
+
+
 def test_only_graph_imports_numbers():
     # graph._integer, graph._real and graph._flag hold the one type rule
     # of settings; a second isinstance(value, Integral) elsewhere would be
     # a second rule
-    package = Path(cgtopo.__file__).resolve().parent
-    found = {
-        path.name
-        for path in package.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.ImportFrom) and node.module == "numbers")
-        or (isinstance(node, ast.Import) and "numbers" in {a.name for a in node.names})
-    }
-    assert found == {"graph.py"}
+    assert _importers("numbers") == {"graph.py"}
+
+
+def test_only_graph_starts_processes():
+    # graph._pmap owns the one pool lifecycle: the serial fallback, the
+    # no-nesting rule and the fork before any thread starts
+    assert _importers("multiprocessing", "concurrent") == {"graph.py"}
 
 
 def _batch_calls(tree):

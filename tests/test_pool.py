@@ -1,16 +1,23 @@
 """The fork pool behind the batched kernels, the SIS sweep and the corpus.
 
 Every result must be the same bits at any worker count, every worker
-must be joined before the pool's caller goes on, and code already
-running in a worker must not fork again.  Tests set the worker count
-through ``graph._cpus``, which the pool reads on every call.
+must be joined before the pool's caller goes on, a worker that dies
+must fail the call instead of hanging it, and code already running in
+a worker must not fork again.  Tests set the worker count through
+``graph._cpus``, which the pool reads on every call.
 """
 
+import concurrent.futures
 import multiprocessing
-import multiprocessing.pool
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import cgtopo
 
 from cgtopo import graph, report
 from cgtopo.epidemic import SisParams, threshold_sweep
@@ -60,6 +67,40 @@ def test_pmap_joins_every_worker_when_one_raises_or_the_reader_stops(monkeypatch
     assert not multiprocessing.active_children()
 
 
+_KILLED_WORKER = """
+    import multiprocessing, os, signal
+    from concurrent.futures.process import BrokenProcessPool
+    from cgtopo.graph import _pmap
+
+    def task(_, item):
+        if item == 3:
+            os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer would
+        return item
+
+    try:
+        list(_pmap(task, (None,), range(8), 2))
+    except BrokenProcessPool:
+        print("broken", len(multiprocessing.active_children()))
+"""
+
+
+def test_pmap_raises_when_a_worker_is_killed():
+    # a fresh interpreter, so that a hang ends in the timeout, not the suite
+    src = str(Path(cgtopo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_KILLED_WORKER)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["broken", "0"]
+
+
 def test_kernels_identical_at_any_worker_count(monkeypatch):
     # the demo gnm-2000 fixture: 29 Brandes blocks at the default batch
     g = generate_random(RandomGraphSpec(model=GNM, n=2000, m=8000, seed=8))
@@ -96,7 +137,7 @@ def test_kernels_in_corpus_workers_run_serially(mixed_corpus, monkeypatch):
     def probe(task):
         if os.getpid() == parent:
             return "error", "the entry ran in the parent"
-        multiprocessing.pool.Pool = refuse  # in this worker only
+        concurrent.futures.ProcessPoolExecutor = refuse  # in this worker only
         return worker(task)
 
     monkeypatch.setattr(report, "_corpus_worker", probe)

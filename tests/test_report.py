@@ -1,8 +1,9 @@
 """Report assembly, serialization, corpus runs, baseline, and the CLI."""
 
+import concurrent.futures
 import json
 import math
-import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from cgtopo import (
     to_json,
 )
 from cgtopo.cli import main
-from cgtopo.corpus import load_entry
+from cgtopo.corpus import CorpusEntry, load_entry
 from cgtopo import fixtures, graph, report
 from cgtopo.epidemic import sweep_betas
 from cgtopo.fixtures import (
@@ -628,6 +629,46 @@ _SIS = SisParams(beta=0.5, delta=0.5, initial_infected=1, max_steps=5, seed=1)
             "size must be >= 0",
             id="sampler-size",
         ),
+        # the format is checked before the file is opened, so no file is needed
+        pytest.param(
+            lambda: graph.load_graph("unread.dot", "dto"),
+            True,
+            "unknown input format: 'dto'",
+            id="load-format-typo",
+        ),
+        pytest.param(
+            lambda: graph.load_graph("unread.xml", "xml"),
+            True,
+            "unknown input format: 'xml'",
+            id="load-format-xml",
+        ),
+        pytest.param(
+            lambda: graph.load_graph("unread.edges", None),
+            True,
+            "unknown input format: None",
+            id="load-format-none",
+        ),
+        pytest.param(
+            lambda: load_entry(CorpusEntry("g", "C", "x", "unread.dot"), "DOT"),
+            True,
+            "unknown input format: 'DOT'",
+            id="entry-format-upper-case",
+        ),
+        pytest.param(
+            lambda: to_edge_list(
+                CallGraph.from_id_pairs(3, [(0, 1)]), drop_isolated="no"
+            ),
+            True,
+            "drop_isolated must be a bool, got 'no'",
+            id="edge-list-drop_isolated-str",
+        ),
+        pytest.param(
+            # a directory that cannot be made: the seed is checked first
+            lambda: write_demo_corpus(os.path.join(os.devnull, "demo"), seed=True),
+            True,
+            "seed True is not an integer",
+            id="demo-corpus-seed-bool",
+        ),
     ],
 )
 def test_library_bad_values_raise_config_error_only_when_no_graph_can_fix(
@@ -636,6 +677,15 @@ def test_library_bad_values_raise_config_error_only_when_no_graph_can_fix(
     with pytest.raises(InputError, match=message) as info:
         call()
     assert isinstance(info.value, ConfigError) == no_graph_can_fix
+
+
+def test_metric_selection_is_stored_in_metrics_order_once_each():
+    shuffled = AnalysisConfig(metrics=("spectral", "degree", "degree"))
+    ordered = AnalysisConfig(metrics=("degree", "spectral"))
+    assert shuffled == ordered and shuffled.metrics == ("degree", "spectral")
+    assert to_json(analyze_graph(_G, shuffled, "g")[0]) == to_json(
+        analyze_graph(_G, ordered, "g")[0]
+    )
 
 
 def test_config_validation_errors(sample_path):
@@ -906,28 +956,25 @@ def test_corpus_pool_takes_largest_inputs_first(mixed_corpus, monkeypatch):
     handed = []
     sizes = []
 
-    class SerialPool:
-        """Stands in for the fork pool: records what it is asked for and
-        runs the task in this process."""
+    class SerialExecutor:
+        """Stands in for the fork executor: records what it is asked for
+        and runs the task in this process."""
 
-        def __init__(self, processes, initializer, initargs, *args, **kwargs):
-            sizes.append(processes)
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            sizes.append(max_workers)
             self.fn, self.shared = initargs
 
-        def imap(self, call, tasks):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, call, tasks):
             handed.extend(entry.label for entry, _ in tasks)
             return (self.fn(*self.shared, task) for task in tasks)
 
-        def close(self):
-            pass
-
-        def terminate(self):
-            pass
-
-        def join(self):
-            pass
-
-    monkeypatch.setattr(multiprocessing.pool, "Pool", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     cfg = AnalysisConfig(metrics=("degree", "components"), seed=7)
     result = analyze_corpus(manifest, cfg, jobs=64)
     # one worker per entry at most, however many jobs are asked for
