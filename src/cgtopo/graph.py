@@ -336,7 +336,7 @@ def _pmap(fn, shared, items, workers=None):
         for item in items:
             yield fn(*shared, item)
         return
-    # imported here, as Pool imports its module: a command that never forks skips it
+    # imported here, so that a command that never forks loads neither it nor logging
     from concurrent.futures import ProcessPoolExecutor
 
     fork = multiprocessing.get_context("fork")

@@ -33,9 +33,9 @@ from cgtopo.generators import ERASED_CONFIG, GNM, RandomGraphSpec, generate_rand
 from test_memory import KERNELS
 
 
-def _run(script: str, *argv, env=None) -> str:
+def _run(script: str, *argv, env=None, timeout=300) -> str:
     """stdout of ``script`` run by a fresh interpreter, in ``env``
-    (default: this process's environment)."""
+    (default: this process's environment), within ``timeout`` seconds."""
     env = dict(os.environ if env is None else env)
     src = str(Path(cgtopo.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -44,7 +44,7 @@ def _run(script: str, *argv, env=None) -> str:
         env=env,
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

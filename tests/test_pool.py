@@ -10,14 +10,8 @@ a worker must not fork again.  Tests set the worker count through
 import concurrent.futures
 import multiprocessing
 import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
-
-import cgtopo
 
 from cgtopo import graph, report
 from cgtopo.epidemic import SisParams, threshold_sweep
@@ -26,6 +20,7 @@ from cgtopo.graph import _pmap
 from cgtopo.paths import betweenness, harmonic_geodesic_mean
 from cgtopo.report import METRICS, AnalysisConfig, analyze_corpus, to_json
 from cgtopo.topology import clustering_profile
+from test_imports import _run
 
 
 def _workers(monkeypatch, count):
@@ -86,19 +81,7 @@ _KILLED_WORKER = """
 
 def test_pmap_raises_when_a_worker_is_killed():
     # a fresh interpreter, so that a hang ends in the timeout, not the suite
-    src = str(Path(cgtopo.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_KILLED_WORKER)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["broken", "0"]
+    assert _run(_KILLED_WORKER, timeout=60).split() == ["broken", "0"]
 
 
 def test_kernels_identical_at_any_worker_count(monkeypatch):
